@@ -3,8 +3,8 @@ binary Koblitz curves: GLS and tau-NAF digit expansions, the integer norm
 form, short-element enumeration, and reproduction of the reference tables.
 """
 
-from .ring import (ZTau, ZERO, ONE, TAU, NotDivisibleError, add, negate,
-                   multiply, tau_divides, tau_sq_divides, quotient_by_tau,
+from .ring import (ZTau, ZERO, ONE, TAU, NotDivisibleError, multiply,
+                   tau_divides, tau_sq_divides, quotient_by_tau,
                    evaluate_expansion, format_element, parse_element,
                    mu_from_curve_coeff, curve_coeff_from_mu, check_mu)
 from .digits import (Digit, ZERO_DIGIT, TnafDigitSet, InvalidResidueError,
@@ -15,7 +15,7 @@ from .normform import (GramForm, ShortVectorSet, NotPositiveDefiniteError,
                        BoxTooSmallError, gram_form, norm_sq, ldl_decompose,
                        enumerate_short_vectors, enumerate_bruteforce_oracle)
 from .expand import (Expansion, GuardExceededError, GLS, TNAF, expand_gls,
-                     expand_tnaf, hamming_weight, is_naf, is_gls_window_valid,
+                     expand_tnaf, is_naf, is_gls_window_valid,
                      min_hamming_weight, enumerate_naf_words, norm_trace,
                      strip_top_zeros)
 

@@ -14,15 +14,16 @@ human-readable display is the big-endian tuple "(c_{l-1}, ..., c_0)_t".
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .digits import (Digit, TnafDigitSet, ZERO_DIGIT, as_digit,
                      build_tnaf_digit_set, digit_element, format_digit,
                      gls_digit, parse_digit, tnaf_digit)
-from .ring import (ZTau, ZERO, check_mu, evaluate_expansion, quotient_by_tau,
-                   tau_divides)
+from .ring import ZTau, ZERO, check_mu, evaluate_expansion, quotient_by_tau
 from .normform import norm_sq
 
 GLS = "gls"
@@ -69,14 +70,23 @@ class Expansion:
         return json.dumps(obj, separators=(",", ":"))
 
 
+def _json_ints(value, field: str, n: int) -> list:
+    # type() rather than isinstance(): JSON true/false parse to bools.
+    if not (isinstance(value, list) and len(value) == n
+            and all(type(x) is int for x in value)):
+        raise ValueError(f"{field} must be {n} integers, got {value!r}")
+    return value
+
+
 def expansion_from_json(text: str) -> Expansion:
     obj = json.loads(text)
     return Expansion(
         kind=obj["kind"],
         mu=obj["mu"],
         digit_set_id=obj["digit_set"],
-        digits=tuple(Digit(a, b) for a, b in obj["digits"]),
-        source=ZTau(*obj["element"]),
+        digits=tuple(Digit(*_json_ints(c, f"digits[{i}]", 2))
+                     for i, c in enumerate(obj["digits"])),
+        source=ZTau(*_json_ints(obj["element"], "element", 4)),
     )
 
 
@@ -86,44 +96,61 @@ def _iteration_guard(a: ZTau, mu: int) -> int:
     return 4 * norm_sq(a, mu).bit_length() + 64
 
 
+# Digit tables of the recoding loop (Solinas' residue-table selection),
+# built from the digit rules so that each rule is written down once.  The
+# 64 GLS cells are indexed 8*(s mod 8) + 2*(t mod 4) + v mod 2, the 32
+# tau-NAF cells of digit set j 4*(s mod 8) + t mod 4; cells with 4 | s hold 0.
+GLS_TABLE = tuple(Digit(gls_digit(r_s, r_t, r_v), 0)
+                  for r_s in range(8) for r_t in range(4) for r_v in range(2))
+
+
+@functools.cache
+def tnaf_table(mu: int, j: int) -> tuple:
+    dset = build_tnaf_digit_set(j, mu)
+    return tuple(ZERO_DIGIT if r_s % 4 == 0
+                 else tnaf_digit(ZTau(r_s, r_t, 0, 0), dset)
+                 for r_s in range(8) for r_t in range(4))
+
+
+def recode_steps(a: ZTau, mu: int, method: str, j: Optional[int] = None) -> Iterator[tuple]:
+    """The one recoding loop, GLS or tau-NAF over digit set j: yields
+    (s, t, u, v, c), the state and the digit of its table cell, then moves
+    to (state - c)/tau, until the state is 0.  4 | (s - c') for every table
+    digit c' + c''*tau, so with q = (s - c')/4 the quotient is exact."""
+    if method == GLS:
+        table, v_bit = GLS_TABLE, 1
+    elif method == TNAF:
+        if j is None:
+            raise ValueError("tau-NAF recoding needs a digit set index")
+        table, v_bit = tnaf_table(mu, j), 0
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    s, t, u, v = a
+    guard = _iteration_guard(a, mu)  # also rejects a bad mu
+    for _ in range(guard):
+        if not (s or t or u or v):
+            return
+        # s & 7 is s mod 8 for negative s too
+        c = table[((s & 7) << 2 | (t & 3)) << v_bit | (v & v_bit)]
+        yield s, t, u, v, c
+        cp, cpp = c
+        q = (s - cp) >> 2
+        d = mu * q
+        s, t, u, v = d + d + t - cpp, u, d + v, -q
+    if s or t or u or v:
+        raise GuardExceededError(f"recoding of {a} exceeded {guard} digits")
+
+
 def expand_gls(a: ZTau, mu: int) -> Expansion:
     """GLS recoding of a; the zero element yields the empty expansion."""
-    check_mu(mu)
-    s, t, u, v = a
-    digits = []
-    guard = _iteration_guard(a, mu)
-    while (s, t, u, v) != (0, 0, 0, 0):
-        if len(digits) > guard:
-            raise GuardExceededError(f"GLS recoding of {a} exceeded {guard} digits")
-        c = gls_digit(s % 8, t % 4, v % 2)
-        digits.append(Digit(c, 0))
-        d = mu * (s - c) // 4
-        s, t, u, v = 2 * d + t, u, d + v, -mu * d
-    return Expansion(kind=GLS, mu=mu, digit_set_id=None,
-                     digits=tuple(digits), source=a)
+    digits = tuple(map(itemgetter(4), recode_steps(a, mu, GLS)))
+    return Expansion(kind=GLS, mu=mu, digit_set_id=None, digits=digits, source=a)
 
 
 def expand_tnaf(a: ZTau, mu: int, j: int) -> Expansion:
     """tau-NAF recoding of a over digit set j; zero yields the empty expansion."""
-    dset = build_tnaf_digit_set(j, mu)
-    cur = a
-    digits = []
-    guard = _iteration_guard(a, mu)
-    while cur != ZERO:
-        if len(digits) > guard:
-            raise GuardExceededError(f"tau-NAF recoding of {a} exceeded {guard} digits")
-        if tau_divides(cur):
-            c = ZERO_DIGIT
-        else:
-            c = tnaf_digit(cur, dset)
-        digits.append(c)
-        cur = quotient_by_tau(cur - digit_element(c), mu)
-    return Expansion(kind=TNAF, mu=mu, digit_set_id=j,
-                     digits=tuple(digits), source=a)
-
-
-def hamming_weight(e: Expansion) -> int:
-    return e.weight
+    digits = tuple(map(itemgetter(4), recode_steps(a, mu, TNAF, j)))
+    return Expansion(kind=TNAF, mu=mu, digit_set_id=j, digits=digits, source=a)
 
 
 def strip_top_zeros(digits: Sequence) -> tuple:
@@ -231,33 +258,7 @@ def enumerate_naf_words(a: ZTau, dset: TnafDigitSet, max_len: int) -> list[tuple
 def norm_trace(a: ZTau, mu: int, method: str, j: Optional[int] = None) -> list[int]:
     """Squared norms of the successive loop states of a recoding,
     from norm_sq(a) down to the final 0."""
-    check_mu(mu)
-    trace = [norm_sq(a, mu)]
-    if method == GLS:
-        s, t, u, v = a
-        guard = _iteration_guard(a, mu)
-        while (s, t, u, v) != (0, 0, 0, 0):
-            if len(trace) > guard:
-                raise GuardExceededError(f"GLS trace of {a} exceeded {guard} steps")
-            c = gls_digit(s % 8, t % 4, v % 2)
-            d = mu * (s - c) // 4
-            s, t, u, v = 2 * d + t, u, d + v, -mu * d
-            trace.append(norm_sq(ZTau(s, t, u, v), mu))
-        return trace
-    if method == TNAF:
-        if j is None:
-            raise ValueError("tau-NAF trace needs a digit set index")
-        dset = build_tnaf_digit_set(j, mu)
-        cur = a
-        guard = _iteration_guard(a, mu)
-        while cur != ZERO:
-            if len(trace) > guard:
-                raise GuardExceededError(f"tau-NAF trace of {a} exceeded {guard} steps")
-            c = ZERO_DIGIT if tau_divides(cur) else tnaf_digit(cur, dset)
-            cur = quotient_by_tau(cur - digit_element(c), mu)
-            trace.append(norm_sq(cur, mu))
-        return trace
-    raise ValueError(f"unknown method {method!r}")
+    return [norm_sq(step[:4], mu) for step in recode_steps(a, mu, method, j)] + [0]
 
 
 def parse_digit_word(text: str) -> tuple:

@@ -17,6 +17,7 @@ enters.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -68,20 +69,16 @@ def _power_sums(mu: int) -> tuple[int, int, int]:
     return p1, p2, p3
 
 
-_FORM_CACHE: dict = {}
-
-
+@functools.cache
 def gram_form(mu: int) -> GramForm:
     check_mu(mu)
-    if mu not in _FORM_CACHE:
-        p = _power_sums(mu)
-        diag = tuple(2 ** (j + 1) for j in range(DIM))
-        cross = {(j, k): (2 ** j) * p[k - j - 1]
-                 for j in range(DIM) for k in range(j + 1, DIM)}
-        form = GramForm(mu=mu, diag=diag, cross=cross)
-        ldl_decompose(form)  # raises if not positive definite
-        _FORM_CACHE[mu] = form
-    return _FORM_CACHE[mu]
+    p = _power_sums(mu)
+    diag = tuple(2 ** (j + 1) for j in range(DIM))
+    cross = {(j, k): (2 ** j) * p[k - j - 1]
+             for j in range(DIM) for k in range(j + 1, DIM)}
+    form = GramForm(mu=mu, diag=diag, cross=cross)
+    ldl_decompose(form)  # raises if not positive definite
+    return form
 
 
 def norm_sq(a: ZTau, mu: int) -> int:

@@ -46,16 +46,27 @@ class ZTau(NamedTuple):
     u: int
     v: int
 
+    # Not tuple concatenation and repetition: + and - take two elements,
+    # and products need mu (``multiply``).
     def __add__(self, other: "ZTau") -> "ZTau":  # type: ignore[override]
+        if not isinstance(other, ZTau):
+            return NotImplemented
         return ZTau(self.s + other.s, self.t + other.t,
                     self.u + other.u, self.v + other.v)
 
     def __sub__(self, other: "ZTau") -> "ZTau":
+        if not isinstance(other, ZTau):
+            return NotImplemented
         return ZTau(self.s - other.s, self.t - other.t,
                     self.u - other.u, self.v - other.v)
 
     def __neg__(self) -> "ZTau":
         return ZTau(-self.s, -self.t, -self.u, -self.v)
+
+    def __mul__(self, other):  # type: ignore[override]
+        raise TypeError("ZTau has no '*'; use multiply(a, b, mu)")
+
+    __rmul__ = __mul__
 
     def is_zero(self) -> bool:
         return self == ZERO
@@ -67,14 +78,6 @@ class ZTau(NamedTuple):
 ZERO = ZTau(0, 0, 0, 0)
 ONE = ZTau(1, 0, 0, 0)
 TAU = ZTau(0, 1, 0, 0)
-
-
-def add(a: ZTau, b: ZTau) -> ZTau:
-    return a + b
-
-
-def negate(a: ZTau) -> ZTau:
-    return -a
 
 
 def _reduction_rows(mu: int) -> tuple[ZTau, ZTau, ZTau]:
@@ -99,10 +102,6 @@ def multiply(a: ZTau, b: ZTau, mu: int) -> ZTau:
             res = ZTau(res.s + coeff * row.s, res.t + coeff * row.t,
                        res.u + coeff * row.u, res.v + coeff * row.v)
     return res
-
-
-def scalar_multiply(k: int, a: ZTau) -> ZTau:
-    return ZTau(k * a.s, k * a.t, k * a.u, k * a.v)
 
 
 def tau_divides(a: ZTau) -> bool:
@@ -130,26 +129,28 @@ def tau_sq_divides(a: ZTau, mu: int) -> bool:
 DigitLike = Union[int, tuple, ZTau]
 
 
-def as_element(c: DigitLike) -> ZTau:
-    """Coerce an expansion digit (int, (c', c'') pair, or ZTau) to a ring element."""
-    if isinstance(c, ZTau):
-        return c
-    if isinstance(c, int):
-        return ZTau(c, 0, 0, 0)
-    cp, cpp = c
-    return ZTau(cp, cpp, 0, 0)
-
-
 def evaluate_expansion(digits: Iterable[DigitLike], mu: int) -> ZTau:
     """Value of a little-endian digit sequence: sum of digits[i] * tau^i.
 
-    The empty sequence evaluates to 0.
+    A digit is an int, a (c', c'') pair or a ZTau.  Horner's rule with the
+    tau-shift tau*(s,t,u,v) = (-4v, s + 2*mu*v, t, u + mu*v), which is
+    multiplication by tau reduced by tau^4 = mu*tau^3 + 2*mu*tau - 4.  The
+    empty sequence evaluates to 0.
     """
     check_mu(mu)
-    acc = ZERO
+    s = t = u = v = 0
     for c in reversed(list(digits)):
-        acc = multiply(acc, TAU, mu) + as_element(c)
-    return acc
+        m = mu * v
+        s, t, u, v = -4 * v, s + 2 * m, t, u + m
+        if isinstance(c, int):
+            s += c
+        elif isinstance(c, ZTau):
+            s, t, u, v = s + c.s, t + c.t, u + c.u, v + c.v
+        else:
+            cp, cpp = c
+            s += cp
+            t += cpp
+    return ZTau(s, t, u, v)
 
 
 def format_element(a: ZTau) -> str:

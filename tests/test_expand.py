@@ -1,3 +1,6 @@
+import json
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +9,7 @@ from tauadic.digits import Digit, TnafDigitSet, build_tnaf_digit_set
 from tauadic.expand import (Expansion, GLS, TNAF, check_expansion,
                             enumerate_naf_words, expand_gls, expand_tnaf,
                             expansion_from_json, format_digit_word,
-                            hamming_weight, is_gls_window_valid, is_naf,
+                            is_gls_window_valid, is_naf,
                             min_hamming_weight, norm_trace, parse_digit_word,
                             strip_top_zeros)
 from tauadic.ring import ZERO, ZTau, evaluate_expansion
@@ -72,9 +75,9 @@ def test_expand_tnaf_rejects_bad_index():
 
 
 def test_hamming_weight():
-    assert hamming_weight(expand_gls(ZERO, 1)) == 0
-    assert hamming_weight(expand_tnaf(ZTau(3, 0, 0, 0), 1, 1)) == 2
-    assert hamming_weight(expand_tnaf(ZTau(-3, 0, 0, 1), 1, 1)) == 3
+    assert expand_gls(ZERO, 1).weight == 0
+    assert expand_tnaf(ZTau(3, 0, 0, 0), 1, 1).weight == 2
+    assert expand_tnaf(ZTau(-3, 0, 0, 1), 1, 1).weight == 3
 
 
 def test_is_naf():
@@ -155,9 +158,28 @@ def test_expansion_json_round_trip():
     text = e.to_json()
     assert expansion_from_json(text) == e
     assert expansion_from_json(text).to_json() == text
-    obj_keys = list(__import__("json").loads(text))
+    obj_keys = list(json.loads(text))
     assert obj_keys == ["kind", "mu", "digit_set", "element",
                         "digits", "length", "hamming_weight"]
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("element", [3, 0.0, 0, 0]),
+    ("element", [3, 0, False, 0]),
+    ("element", [3, 0, 0]),
+    ("element", "3,0,0,0"),
+    ("digits[0]", [1.0, 2]),
+    ("digits[3]", [1, True]),
+    ("digits[3]", [1, 2, 0]),
+])
+def test_expansion_from_json_rejects_non_integer_coefficients(field, bad):
+    obj = json.loads(expand_tnaf(ZTau(3, 0, 0, 0), 1, 1).to_json())
+    if field == "element":
+        obj["element"] = bad
+    else:
+        obj["digits"][int(field[7])] = bad
+    with pytest.raises(ValueError, match=re.escape(field)):
+        expansion_from_json(json.dumps(obj))
 
 
 def test_digit_word_text_round_trip():

@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tauadic.ring import (NotDivisibleError, ONE, TAU, ZERO, ZTau, add,
+from tauadic.ring import (NotDivisibleError, ONE, TAU, ZERO, ZTau,
                           curve_coeff_from_mu, evaluate_expansion,
                           format_element, multiply, mu_from_curve_coeff,
-                          negate, parse_element, quotient_by_tau, tau_divides,
+                          parse_element, quotient_by_tau, tau_divides,
                           tau_sq_divides)
 
 coeffs = st.integers(-10 ** 6, 10 ** 6)
@@ -23,15 +23,32 @@ def test_mu_from_curve_coeff():
 
 
 def test_add():
-    assert add(ZTau(1, 0, 0, 0), ZTau(0, 1, 0, 0)) == ZTau(1, 1, 0, 0)
-    assert add(ZTau(1, 2, 3, 4), ZTau(-1, -2, -3, -4)) == ZERO
-    assert add(ZTau(2, 0, -1, -1), ZTau(-1, 0, 1, 1)) == ZTau(1, 0, 0, 0)
+    assert ZTau(1, 0, 0, 0) + ZTau(0, 1, 0, 0) == ZTau(1, 1, 0, 0)
+    assert ZTau(1, 2, 3, 4) + ZTau(-1, -2, -3, -4) == ZERO
+    assert ZTau(2, 0, -1, -1) + ZTau(-1, 0, 1, 1) == ZTau(1, 0, 0, 0)
 
 
 def test_negate():
-    assert negate(ZTau(1, 0, 0, 0)) == ZTau(-1, 0, 0, 0)
-    assert negate(ZERO) == ZERO
-    assert negate(ZTau(3, -1, 0, 1)) == ZTau(-3, 1, 0, -1)
+    assert -ZTau(1, 0, 0, 0) == ZTau(-1, 0, 0, 0)
+    assert -ZERO == ZERO
+    assert -ZTau(3, -1, 0, 1) == ZTau(-3, 1, 0, -1)
+
+
+def test_tuple_operators_do_not_leak_through():
+    a = ZTau(1, 2, 3, 4)
+    for other in [(1, 2, 3, 4), [1, 2, 3, 4], 1]:
+        with pytest.raises(TypeError):
+            a + other
+        with pytest.raises(TypeError):
+            a - other
+    assert ZTau.__add__(a, (1, 2, 3, 4)) is NotImplemented
+    assert ZTau.__sub__(a, (1, 2, 3, 4)) is NotImplemented
+    for k in [2, 0, a]:
+        with pytest.raises(TypeError):
+            a * k
+        with pytest.raises(TypeError):
+            k * a
+    assert a - a == ZERO and isinstance(a + a, ZTau)
 
 
 def test_multiply_tau_powers():
