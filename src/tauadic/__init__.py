@@ -11,8 +11,8 @@ from .digits import (Digit, ZERO_DIGIT, TnafDigitSet, InvalidResidueError,
                      ElementDivisibleError, GLS_DIGITS, gls_digit,
                      tnaf_candidates, build_tnaf_digit_set, tnaf_digit,
                      validate_digit_set, format_digit, parse_digit)
-from .normform import (GramForm, ShortVectorSet, NotPositiveDefiniteError,
-                       BoxTooSmallError, gram_form, norm_sq, ldl_decompose,
+from .normform import (ShortVectorSet, NotPositiveDefiniteError,
+                       BoxTooSmallError, gram_matrix, norm_sq, ldl_decompose,
                        enumerate_short_vectors, enumerate_bruteforce_oracle)
 from .expand import (Expansion, GuardExceededError, GLS, TNAF, expand_gls,
                      expand_tnaf, is_naf, is_gls_window_valid,

@@ -11,24 +11,35 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .digits import (Digit, GLS_DIGITS, all_tnaf_digit_sets,
+from .digits import (GLS_DIGITS, _residue_cells, all_tnaf_digit_sets,
                      build_tnaf_digit_set, digit_element, gls_digit,
                      tnaf_candidates, tnaf_digit, validate_digit_set)
 from .expand import (GLS, TNAF, expand_gls, expand_tnaf, is_gls_window_valid,
                      is_naf, norm_trace)
 from .normform import (enumerate_bruteforce_oracle, enumerate_short_vectors,
-                       gram_form, ldl_decompose, norm_sq)
+                       gram_matrix, ldl_decompose, norm_sq)
 from .ring import (TAU, ZERO, ZTau, evaluate_expansion, multiply,
                    quotient_by_tau, tau_divides, tau_sq_divides)
-from .tables import CheckResult
 
 SUITES = ("ring", "norm", "digits", "expansion")
 
 ORACLE_BOUNDS = (2, 10, 20, 38, 50)
 ORACLE_BOX = 8
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    name: str
+    passed: bool
+    detail: str = ""
+
+    def describe(self) -> str:
+        return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}" + (
+            f" -- {self.detail}" if self.detail and not self.passed else "")
 
 
 def _scaled(n: int, scale: str) -> int:
@@ -127,10 +138,11 @@ def norm_suite(seed: int, scale: str = "full") -> list[CheckResult]:
     rng = random.Random(seed)
     results = []
 
+    factors = {}
     for mu in (1, -1):
         try:
-            l, d = ldl_decompose(gram_form(mu))
-            ok = all(p > 0 for p in d)
+            factors[mu] = ldl_decompose(gram_matrix(mu))
+            ok = all(p > 0 for p in factors[mu][1])
         except Exception:
             ok = False
         results.append(CheckResult(f"ldl-pivots-positive-mu={mu:+d}", ok))
@@ -138,7 +150,7 @@ def norm_suite(seed: int, scale: str = "full") -> list[CheckResult]:
     n_ldl = _scaled(1_000, scale)
     def ldl_reconstructs(case) -> bool:
         mu, x = case
-        l, d = ldl_decompose(gram_form(mu))
+        l, d = factors[mu]
         total = Fraction(0)
         for i in range(4):
             inner = x[i] + sum(l[i][j] * x[j] for j in range(i + 1, 4))
@@ -180,9 +192,10 @@ def norm_suite(seed: int, scale: str = "full") -> list[CheckResult]:
     for mu in (1, -1):
         ok = True
         detail = []
+        oracle = enumerate_bruteforce_oracle(mu, max(ORACLE_BOUNDS), ORACLE_BOX)
         for bound in ORACLE_BOUNDS:
             fast = enumerate_short_vectors(mu, bound).element_set()
-            slow = enumerate_bruteforce_oracle(mu, bound, ORACLE_BOX).element_set()
+            slow = {e for e, n in oracle.elements if n <= bound}
             if fast != slow:
                 ok = False
                 detail.append(f"B={bound}: {len(fast)} vs {len(slow)}")
@@ -204,11 +217,10 @@ def digits_suite(seed: int, scale: str = "full") -> list[CheckResult]:
     rng = random.Random(seed)
     results = []
 
-    cells = [(r_s, r_t) for r_s in (1, 2, 3, 5, 6, 7) for r_t in range(4)]
     for mu in (1, -1):
         singles = doubles = 0
         conditions_ok = True
-        for r_s, r_t in cells:
+        for r_s, r_t in _residue_cells():
             cands = tnaf_candidates(r_s, r_t, mu)
             if len(cands) == 1:
                 singles += 1

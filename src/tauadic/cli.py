@@ -43,6 +43,13 @@ def _resolve_mu(args: argparse.Namespace) -> int:
     return args.mu if args.mu is not None else mu_from_curve_coeff(args.a)
 
 
+def _digit_set(args: argparse.Namespace) -> int | None:
+    j = args.digit_set
+    if j is not None and not 1 <= j <= 16:
+        raise UsageError(f"--digit-set must be in 1..16, got {j}")
+    return j
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tauadic",
@@ -84,12 +91,13 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_expand(args: argparse.Namespace) -> int:
     mu = _resolve_mu(args)
     element = parse_element(args.element)
+    j = _digit_set(args)
     if args.method == "tnaf":
-        if args.digit_set is None:
+        if j is None:
             raise UsageError("--method tnaf requires --digit-set")
-        expansion = expand_tnaf(element, mu, args.digit_set)
+        expansion = expand_tnaf(element, mu, j)
     else:
-        if args.digit_set is not None:
+        if j is not None:
             raise UsageError("--method gls does not take --digit-set")
         expansion = expand_gls(element, mu)
     if args.format == "json":
@@ -123,7 +131,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_tables(args: argparse.Namespace) -> int:
     mus = (_resolve_mu(args),) if (args.mu is not None or args.a is not None) else (1, -1)
-    js = (args.digit_set,) if args.digit_set is not None else None
+    j = _digit_set(args)
+    js = (j,) if j is not None else None
     results = tables.run_table_checks(mus=mus, js=js)
     failed = [r for r in results if not r.passed]
     if args.format == "json":
@@ -183,10 +192,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

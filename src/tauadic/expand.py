@@ -184,38 +184,58 @@ def is_gls_window_valid(digits: Sequence) -> bool:
                for i in range(len(ds) - 3))
 
 
+def _words(a: ZTau, mu: int, digits: Sequence, max_len: int, max_weight: int,
+           max_run: int) -> list[tuple]:
+    """Every little-endian word over the digits that evaluates to a, with
+    length <= max_len, at most max_weight nonzero digits and at most
+    max_run consecutive nonzero digits, in depth-first digit order.
+
+    Branches only on the digits that keep the quotient in the ring.  The
+    search stops at the zero element, which only a nonzero digit can reach,
+    so every word found has a nonzero top digit; going on would need a
+    nonzero digit with 4 | its constant part, which neither the GLS digits
+    nor a tau-NAF set has.
+    """
+    by_residue: dict[int, list[Digit]] = {r: [] for r in range(4)}
+    for c in digits:
+        by_residue[c.a % 4].append(c)
+    words: list[tuple] = []
+    prefix: list[Digit] = []
+
+    def descend(cur: ZTau, depth_left: int, weight_left: int, run_left: int) -> None:
+        if cur == ZERO:
+            words.append(tuple(prefix))
+            return
+        if depth_left == 0:
+            return
+        for c in by_residue[cur.s % 4]:
+            if c.is_zero():
+                rest, w, r = cur, weight_left, max_run
+            elif weight_left and run_left:
+                rest, w, r = cur - digit_element(c), weight_left - 1, run_left - 1
+            else:
+                continue
+            prefix.append(c)
+            descend(quotient_by_tau(rest, mu), depth_left - 1, w, r)
+            prefix.pop()
+
+    descend(a, max_len, max_weight, max_run)
+    return words
+
+
 def min_hamming_weight(a: ZTau, mu: int, digit_set: Iterable, max_len: int) -> Optional[int]:
     """Least weight of ANY digit string of length <= max_len over the given
     digits evaluating to a -- no adjacency or window constraint.
 
-    Depth-first search branching on the digits that keep the quotient in
-    the ring, pruning on the best weight found.  None if no string of the
-    allowed length represents a.
+    Iterative deepening on the weight; None if no string of the allowed
+    length represents a.
     """
     check_mu(mu)
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     digits = [as_digit(c) for c in digit_set]
-    by_residue: dict[int, list[Digit]] = {r: [] for r in range(4)}
-    for c in digits:
-        by_residue[c.a % 4].append(c)
-
-    best: list[Optional[int]] = [None]
-
-    def search(cur: ZTau, depth_left: int, weight: int) -> None:
-        if best[0] is not None and weight >= best[0]:
-            return
-        if cur == ZERO:
-            best[0] = weight
-            return
-        if depth_left == 0:
-            return
-        for c in by_residue[cur.s % 4]:
-            nxt = quotient_by_tau(cur - digit_element(c), mu)
-            search(nxt, depth_left - 1, weight + (0 if c.is_zero() else 1))
-
-    search(a, max_len, 0)
-    return best[0]
+    return next((w for w in range(max_len + 1)
+                 if _words(a, mu, digits, max_len, w, max_len)), None)
 
 
 def enumerate_naf_words(a: ZTau, dset: TnafDigitSet, max_len: int) -> list[tuple]:
@@ -226,33 +246,7 @@ def enumerate_naf_words(a: ZTau, dset: TnafDigitSet, max_len: int) -> list[tuple
     word -- not just the one the recoder picks.  Words are little-endian
     digit tuples with nonzero top digit.
     """
-    mu = dset.mu
-    by_residue: dict[int, list[Digit]] = {r: [] for r in range(4)}
-    for c in dset.sorted_digits():
-        by_residue[c.a % 4].append(c)
-
-    words: list[tuple] = []
-    prefix: list[Digit] = []
-
-    def search(cur: ZTau, depth_left: int, prev_nonzero: bool) -> None:
-        if cur == ZERO:
-            if not prefix or not prefix[-1].is_zero():
-                words.append(tuple(prefix))
-            # a nonzero continuation of the zero element is impossible
-            # (no nonzero digit has a constant part divisible by 4)
-            return
-        if depth_left == 0:
-            return
-        for c in by_residue[cur.s % 4]:
-            if prev_nonzero and not c.is_zero():
-                continue
-            prefix.append(c)
-            search(quotient_by_tau(cur - digit_element(c), mu),
-                   depth_left - 1, not c.is_zero())
-            prefix.pop()
-
-    search(a, max_len, False)
-    return words
+    return _words(a, dset.mu, dset.sorted_digits(), max_len, max_len, 1)
 
 
 def norm_trace(a: ZTau, mu: int, method: str, j: Optional[int] = None) -> list[int]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -36,51 +36,6 @@ class BoxTooSmallError(ValueError):
     """Brute-force scan box clipped a qualifying vector."""
 
 
-@dataclass(frozen=True)
-class GramForm:
-    """Integer quadratic form Q(c) = sum q_jj c_j^2 + sum_{j<k} q_jk c_j c_k."""
-
-    mu: int
-    diag: tuple[int, int, int, int]
-    cross: dict = field(hash=False)  # {(j, k): q_jk} for j < k
-
-    def __call__(self, c) -> int:
-        total = sum(q * x * x for q, x in zip(self.diag, c))
-        for (j, k), q in self.cross.items():
-            total += q * c[j] * c[k]
-        return total
-
-    def matrix(self) -> list[list[Fraction]]:
-        """Symmetric matrix A with Q(x) = x^T A x (off-diagonals are halves)."""
-        a = [[Fraction(0)] * DIM for _ in range(DIM)]
-        for i in range(DIM):
-            a[i][i] = Fraction(self.diag[i])
-        for (j, k), q in self.cross.items():
-            a[j][k] = a[k][j] = Fraction(q, 2)
-        return a
-
-
-# Power sums of the roots of x^4 - mu*x^3 - 2*mu*x + 4, via Newton's
-# identities from e1 = mu, e2 = 0, e3 = 2*mu, e4 = 4.
-def _power_sums(mu: int) -> tuple[int, int, int]:
-    p1 = mu
-    p2 = mu * p1          # e1*p1 - 2*e2
-    p3 = mu * p2 + 6 * mu  # e1*p2 - e2*p1 + 3*e3
-    return p1, p2, p3
-
-
-@functools.cache
-def gram_form(mu: int) -> GramForm:
-    check_mu(mu)
-    p = _power_sums(mu)
-    diag = tuple(2 ** (j + 1) for j in range(DIM))
-    cross = {(j, k): (2 ** j) * p[k - j - 1]
-             for j in range(DIM) for k in range(j + 1, DIM)}
-    form = GramForm(mu=mu, diag=diag, cross=cross)
-    ldl_decompose(form)  # raises if not positive definite
-    return form
-
-
 def norm_sq(a: ZTau, mu: int) -> int:
     """Squared norm of a ring element; 0 exactly for the zero element."""
     check_mu(mu)
@@ -90,13 +45,28 @@ def norm_sq(a: ZTau, mu: int) -> int:
             + s * u + 2 * t * v)
 
 
-def ldl_decompose(form: GramForm) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Exact factorization Q(x) = sum_i d_i (x_i + sum_{j>i} l[i][j] x_j)^2.
+@functools.cache
+def gram_matrix(mu: int) -> tuple:
+    """Symmetric Fraction matrix A with norm_sq(x) = x^T A x, derived from
+    norm_sq by polarization (the off-diagonal entries are halves)."""
+    unit = [[int(i == j) for i in range(DIM)] for j in range(DIM)]
+    q = [norm_sq(e, mu) for e in unit]
+    # (Q(e_j + e_k) - Q(e_j) - Q(e_k)) / 2, which is Q(e_j) when j == k
+    a = tuple(tuple(Fraction(norm_sq([x + y for x, y in zip(unit[j], unit[k])], mu)
+                             - q[j] - q[k], 2)
+                    for k in range(DIM)) for j in range(DIM))
+    ldl_decompose(a)  # raises if not positive definite
+    return a
+
+
+def ldl_decompose(matrix) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Exact factorization x^T A x = sum_i d_i (x_i + sum_{j>i} l[i][j] x_j)^2
+    of a symmetric rational matrix A.
 
     Returns (l, d) with l unit upper-triangular row coefficients and d the
     positive pivots, all Fractions.
     """
-    a = form.matrix()
+    a = [[Fraction(x) for x in row] for row in matrix]
     l = [[Fraction(0)] * DIM for _ in range(DIM)]
     d = [Fraction(0)] * DIM
     for i in range(DIM):
@@ -194,15 +164,14 @@ def enumerate_short_vectors(mu: int, bound: int, include_zero: bool = False) -> 
     check_mu(mu)
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
-    form = gram_form(mu)
-    l, d = ldl_decompose(form)
+    l, d = ldl_decompose(gram_matrix(mu))
     found: list[tuple[ZTau, int]] = []
     coords = [0] * DIM
 
     def descend(level: int, budget: Fraction) -> None:
         if level < 0:
             e = ZTau(*coords)
-            n = form(coords)
+            n = norm_sq(e, mu)
             if n or include_zero:
                 found.append((e, n))
             return
@@ -228,14 +197,13 @@ def enumerate_bruteforce_oracle(mu: int, bound: int, box: int) -> ShortVectorSet
     check_mu(mu)
     if box < 1:
         raise ValueError(f"box must be >= 1, got {box}")
-    form = gram_form(mu)
     rng = range(-box, box + 1)
     found = []
     for s in rng:
         for t in rng:
             for u in rng:
                 for v in rng:
-                    n = form((s, t, u, v))
+                    n = norm_sq((s, t, u, v), mu)
                     if n <= bound:
                         if n == 0:
                             continue

@@ -25,6 +25,7 @@ from importlib.resources import files
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 
+from .checks import CheckResult
 from .digits import Digit, GLS_DIGITS, build_tnaf_digit_set
 from .expand import (Expansion, expand_gls, expand_tnaf, format_digit_word,
                      is_gls_window_valid, is_naf, min_hamming_weight,
@@ -229,17 +230,6 @@ def load_gls_nonuniqueness_fixture(mu: int) -> list[tuple]:
     for rec in csv.DictReader(io.StringIO(fixture_text(name))):
         words.append(tuple(int(rec[k]) for k in ("c3", "c2", "c1", "c0")))
     return words
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-    def describe(self) -> str:
-        return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}" + (
-            f" -- {self.detail}" if self.detail and not self.passed else "")
 
 
 def check_census(mu: int) -> list[CheckResult]:

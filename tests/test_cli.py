@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tauadic
 from tauadic.cli import main
 
 
@@ -90,6 +95,22 @@ def test_usage_errors(capsys):
     # negative bound
     status, _, err = run(capsys, "enumerate", "--mu", "1", "--bound", "-1")
     assert status == 2
+
+
+@pytest.mark.parametrize("j", ["0", "17"])
+@pytest.mark.parametrize("command", [
+    ["tables", "--mu", "1"],
+    ["expand", "--mu", "1", "--method", "tnaf", "--element", "1,0,0,0"],
+], ids=["tables", "expand"])
+def test_digit_set_out_of_range_exits_2(command, j):
+    src = Path(tauadic.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-m", "tauadic.cli", *command, "--digit-set", j],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "--digit-set must be in 1..16" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_unknown_command_exits_2(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 
@@ -119,6 +120,25 @@ def test_min_hamming_weight_unreachable():
     # only digit 0 available: nothing nonzero is representable
     assert min_hamming_weight(ZTau(1, 0, 0, 0), 1, [D(0)], 4) is None
     assert min_hamming_weight(ZERO, 1, [D(0), D(1)], 4) == 0
+
+
+@pytest.mark.parametrize("mu", [1, -1])
+@pytest.mark.parametrize("kind,max_len", [(GLS, 4), (TNAF, 3)])
+def test_min_hamming_weight_matches_bruteforce(mu, kind, max_len):
+    # least weight of every element reached by some word of length <= max_len
+    if kind == GLS:
+        alphabet = [D(c) for c in range(-3, 4)]
+    else:
+        alphabet = build_tnaf_digit_set(1, mu).sorted_digits()
+    least = {}
+    for n in range(max_len + 1):
+        for word in itertools.product(alphabet, repeat=n):
+            a = evaluate_expansion(word, mu)
+            w = sum(1 for c in word if not c.is_zero())
+            least[a] = min(w, least.get(a, w))
+    assert len(least) > 100
+    for a, w in least.items():
+        assert min_hamming_weight(a, mu, alphabet, max_len) == w, a
 
 
 def test_norm_trace():
