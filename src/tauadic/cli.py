@@ -9,7 +9,7 @@ census     recompute the GLS non-uniqueness census and compare with fixtures
 check      run a seeded randomized property suite
 
 Exit status: 0 on success, 1 on a verification mismatch or failed check,
-2 on a usage error.
+2 on a usage error, 3 on a fixture or I/O error.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .normform import enumerate_short_vectors, norm_sq
 from .ring import format_element, mu_from_curve_coeff, parse_element
 
 USAGE_ERROR = 2
+FIXTURE_ERROR = 3
 
 
 class UsageError(ValueError):
@@ -192,6 +193,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except (OSError, UnicodeDecodeError, tables.FixtureError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return FIXTURE_ERROR
     except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

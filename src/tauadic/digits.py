@@ -36,16 +36,11 @@ class ElementDivisibleError(ValueError):
 
 
 class Digit(NamedTuple):
-    """Expansion coefficient a + b*tau."""
+    """Expansion coefficient a + b*tau, the named form of the (c', c'') pair;
+    a plain 2-tuple compares and hashes equal to it."""
 
     a: int
     b: int
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def __neg__(self) -> "Digit":
-        return Digit(-self.a, -self.b)
 
     def __str__(self) -> str:
         return format_digit(self)
@@ -54,25 +49,17 @@ class Digit(NamedTuple):
 ZERO_DIGIT = Digit(0, 0)
 
 
-def as_digit(c) -> Digit:
-    if isinstance(c, Digit):
-        return c
-    if isinstance(c, int):
-        return Digit(c, 0)
-    cp, cpp = c
-    return Digit(cp, cpp)
-
-
 def digit_element(c: Digit) -> ZTau:
-    return ZTau(c.a, c.b, 0, 0)
+    return ZTau(*c, 0, 0)
 
 
 def format_digit(c: Digit) -> str:
     """Canonical text: "a" when b = 0, else "a+bt" with explicit sign, e.g. "2-1t"."""
-    if c.b == 0:
-        return str(c.a)
-    sign = "+" if c.b > 0 else "-"
-    return f"{c.a}{sign}{abs(c.b)}t"
+    a, b = c
+    if b == 0:
+        return str(a)
+    sign = "+" if b > 0 else "-"
+    return f"{a}{sign}{abs(b)}t"
 
 
 _DIGIT_RE = re.compile(r"^(-?\d+)(?:([+-])(\d+)t)?$")

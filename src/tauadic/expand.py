@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .digits import (Digit, TnafDigitSet, ZERO_DIGIT, as_digit,
+from .digits import (Digit, GLS_DIGITS, TnafDigitSet, ZERO_DIGIT,
                      build_tnaf_digit_set, digit_element, format_digit,
                      gls_digit, parse_digit, tnaf_digit)
 from .ring import ZTau, ZERO, check_mu, evaluate_expansion, quotient_by_tau
@@ -51,7 +51,7 @@ class Expansion:
 
     @property
     def weight(self) -> int:
-        return sum(1 for c in self.digits if not c.is_zero())
+        return len(self.digits) - self.digits.count(ZERO_DIGIT)
 
     def display(self) -> str:
         inner = ", ".join(format_digit(c) for c in reversed(self.digits))
@@ -102,6 +102,7 @@ def _iteration_guard(a: ZTau, mu: int) -> int:
 # tau-NAF cells of digit set j 4*(s mod 8) + t mod 4; cells with 4 | s hold 0.
 GLS_TABLE = tuple(Digit(gls_digit(r_s, r_t, r_v), 0)
                   for r_s in range(8) for r_t in range(4) for r_v in range(2))
+_GLS_ALPHABET = frozenset(Digit(c, 0) for c in GLS_DIGITS)
 
 
 @functools.cache
@@ -155,33 +156,33 @@ def expand_tnaf(a: ZTau, mu: int, j: int) -> Expansion:
 
 def strip_top_zeros(digits: Sequence) -> tuple:
     """Drop high-order zero digits; the denoted expansion is unchanged."""
-    out = [as_digit(c) for c in digits]
-    while out and out[-1].is_zero():
+    out = list(digits)
+    while out and out[-1] == ZERO_DIGIT:
         out.pop()
     return tuple(out)
+
+
+def _is_word(digits: Sequence, alphabet: frozenset, max_run: int) -> bool:
+    """Digits from the alphabet, top digit nonzero (the empty word is
+    valid), and at most max_run nonzero digits in a row."""
+    run = 0
+    for c in digits:
+        run = 0 if c == ZERO_DIGIT else run + 1
+        if run > max_run or c not in alphabet:
+            return False
+    return run > 0 or not digits
 
 
 def is_naf(digits: Sequence, dset: TnafDigitSet) -> bool:
     """Valid tau-NAF word: digits in the set, no two adjacent nonzero,
     top digit nonzero (empty is valid)."""
-    ds = [as_digit(c) for c in digits]
-    if any(c not in dset.digits for c in ds):
-        return False
-    if ds and ds[-1].is_zero():
-        return False
-    return all(ds[i].is_zero() or ds[i + 1].is_zero() for i in range(len(ds) - 1))
+    return _is_word(digits, dset.digits, 1)
 
 
 def is_gls_window_valid(digits: Sequence) -> bool:
     """Valid GLS word: integer digits in {-3..3}, a zero in every window of
     four consecutive digits, top digit nonzero (empty is valid)."""
-    ds = [as_digit(c) for c in digits]
-    if any(c.b != 0 or not -3 <= c.a <= 3 for c in ds):
-        return False
-    if ds and ds[-1].is_zero():
-        return False
-    return all(any(ds[i + k].is_zero() for k in range(4))
-               for i in range(len(ds) - 3))
+    return _is_word(digits, _GLS_ALPHABET, 3)
 
 
 def _words(a: ZTau, mu: int, digits: Sequence, max_len: int, max_weight: int,
@@ -209,7 +210,7 @@ def _words(a: ZTau, mu: int, digits: Sequence, max_len: int, max_weight: int,
         if depth_left == 0:
             return
         for c in by_residue[cur.s % 4]:
-            if c.is_zero():
+            if c == ZERO_DIGIT:
                 rest, w, r = cur, weight_left, max_run
             elif weight_left and run_left:
                 rest, w, r = cur - digit_element(c), weight_left - 1, run_left - 1
@@ -233,7 +234,7 @@ def min_hamming_weight(a: ZTau, mu: int, digit_set: Iterable, max_len: int) -> O
     check_mu(mu)
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    digits = [as_digit(c) for c in digit_set]
+    digits = [Digit(*c) for c in digit_set]
     return next((w for w in range(max_len + 1)
                  if _words(a, mu, digits, max_len, w, max_len)), None)
 
@@ -266,15 +267,13 @@ def parse_digit_word(text: str) -> tuple:
 
 def format_digit_word(digits: Sequence) -> str:
     """Inverse of parse_digit_word (big-endian, semicolon separated)."""
-    return ";".join(format_digit(as_digit(c)) for c in reversed(list(digits)))
+    return ";".join(format_digit(c) for c in reversed(list(digits)))
 
 
 def check_expansion(e: Expansion) -> None:
     """Raise if an expansion violates its structural contract."""
     if evaluate_expansion(e.digits, e.mu) != e.source:
         raise AssertionError(f"expansion of {e.source} does not round-trip")
-    if e.digits and e.digits[-1].is_zero():
-        raise AssertionError(f"expansion of {e.source} has a zero top digit")
     if e.kind == TNAF:
         dset = build_tnaf_digit_set(e.digit_set_id, e.mu)
         if not is_naf(e.digits, dset):

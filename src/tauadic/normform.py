@@ -52,11 +52,17 @@ def gram_matrix(mu: int) -> tuple:
     unit = [[int(i == j) for i in range(DIM)] for j in range(DIM)]
     q = [norm_sq(e, mu) for e in unit]
     # (Q(e_j + e_k) - Q(e_j) - Q(e_k)) / 2, which is Q(e_j) when j == k
-    a = tuple(tuple(Fraction(norm_sq([x + y for x, y in zip(unit[j], unit[k])], mu)
-                             - q[j] - q[k], 2)
-                    for k in range(DIM)) for j in range(DIM))
-    ldl_decompose(a)  # raises if not positive definite
-    return a
+    return tuple(tuple(Fraction(norm_sq([x + y for x, y in zip(unit[j], unit[k])], mu)
+                                - q[j] - q[k], 2)
+                       for k in range(DIM)) for j in range(DIM))
+
+
+@functools.cache
+def _ldl_factors(mu: int) -> tuple:
+    """(l, d) of gram_matrix(mu) as tuples, factored once per mu; raises
+    NotPositiveDefiniteError on first use if the form is not definite."""
+    l, d = ldl_decompose(gram_matrix(mu))
+    return tuple(map(tuple, l)), tuple(d)
 
 
 def ldl_decompose(matrix) -> tuple[list[list[Fraction]], list[Fraction]]:
@@ -164,7 +170,7 @@ def enumerate_short_vectors(mu: int, bound: int, include_zero: bool = False) -> 
     check_mu(mu)
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
-    l, d = ldl_decompose(gram_matrix(mu))
+    l, d = _ldl_factors(mu)
     found: list[tuple[ZTau, int]] = []
     coords = [0] * DIM
 

@@ -14,7 +14,7 @@ All residues below are least nonnegative (Python's ``%`` convention), so
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple
 
 
 class NotDivisibleError(ArithmeticError):
@@ -67,9 +67,6 @@ class ZTau(NamedTuple):
         raise TypeError("ZTau has no '*'; use multiply(a, b, mu)")
 
     __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return self == ZERO
 
     def __str__(self) -> str:
         return format_element(self)
@@ -126,30 +123,19 @@ def tau_sq_divides(a: ZTau, mu: int) -> bool:
     return (mu * (a.s // 2) + a.t) % 4 == 0
 
 
-DigitLike = Union[int, tuple, ZTau]
-
-
-def evaluate_expansion(digits: Iterable[DigitLike], mu: int) -> ZTau:
+def evaluate_expansion(digits: Iterable[tuple[int, int]], mu: int) -> ZTau:
     """Value of a little-endian digit sequence: sum of digits[i] * tau^i.
 
-    A digit is an int, a (c', c'') pair or a ZTau.  Horner's rule with the
+    A digit is a (c', c'') pair, c' + c''*tau.  Horner's rule with the
     tau-shift tau*(s,t,u,v) = (-4v, s + 2*mu*v, t, u + mu*v), which is
     multiplication by tau reduced by tau^4 = mu*tau^3 + 2*mu*tau - 4.  The
     empty sequence evaluates to 0.
     """
     check_mu(mu)
     s = t = u = v = 0
-    for c in reversed(list(digits)):
+    for a, b in reversed(list(digits)):
         m = mu * v
-        s, t, u, v = -4 * v, s + 2 * m, t, u + m
-        if isinstance(c, int):
-            s += c
-        elif isinstance(c, ZTau):
-            s, t, u, v = s + c.s, t + c.t, u + c.u, v + c.v
-        else:
-            cp, cpp = c
-            s += cp
-            t += cpp
+        s, t, u, v = a - 4 * v, b + s + 2 * m, t, u + m
     return ZTau(s, t, u, v)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 
 from .checks import CheckResult
-from .digits import Digit, GLS_DIGITS, build_tnaf_digit_set
+from .digits import Digit, GLS_DIGITS, ZERO_DIGIT, build_tnaf_digit_set
 from .expand import (Expansion, expand_gls, expand_tnaf, format_digit_word,
                      is_gls_window_valid, is_naf, min_hamming_weight,
                      parse_digit_word, strip_top_zeros)
@@ -43,7 +44,7 @@ CENSUS_SIZE = 252
 
 
 class FixtureError(AssertionError):
-    """An embedded fixture row is internally inconsistent."""
+    """A fixture file is malformed or an embedded row is inconsistent."""
 
 
 class TableRow(NamedTuple):
@@ -60,14 +61,6 @@ class TableFixture:
 
     def row_set(self) -> frozenset:
         return frozenset(self.rows)
-
-    def to_csv(self) -> str:
-        out = ["s,t,u,v,norm_sq,digits,length"]
-        for r in self.rows:
-            e = r.element
-            out.append(f"{e.s},{e.t},{e.u},{e.v},{r.norm_sq},"
-                       f"{format_digit_word(r.digits)},{r.length}")
-        return "\n".join(out) + "\n"
 
 
 @dataclass(frozen=True)
@@ -111,17 +104,33 @@ def tnaf_table_id(mu: int, j: int) -> str:
     return f"tnaf-existence-D{j}-mu={_mu_label(mu)}"
 
 
+def _parse_fixture(name: str, columns: dict) -> list[tuple]:
+    """Every data row of a fixture CSV as a tuple, each field converted by
+    the function its column maps to.  A header other than the columns, a
+    row with another number of fields or a field its function rejects
+    raises FixtureError naming the file and the line."""
+    reader = csv.reader(io.StringIO(fixture_text(name)))
+    header = next(reader, [])
+    if header != list(columns):
+        raise FixtureError(f"{name} line 1: columns {header}, want {list(columns)}")
+    out = []
+    for row in filter(None, reader):  # blank lines are skipped
+        where = f"{name} line {reader.line_num}"
+        if len(row) != len(columns):
+            raise FixtureError(f"{where}: {len(row)} fields, want {len(columns)}")
+        try:
+            out.append(tuple(f(x) for f, x in zip(columns.values(), row)))
+        except ValueError as exc:
+            raise FixtureError(f"{where}: {exc}") from None
+    return out
+
+
 def load_tnaf_existence_fixture(mu: int, j: int) -> TableFixture:
     check_mu(mu)
     name = f"tnaf_existence_{_mu_tag(mu)}_j{j:02d}.csv"
-    rows = []
-    for rec in csv.DictReader(io.StringIO(fixture_text(name))):
-        rows.append(TableRow(
-            element=ZTau(int(rec["s"]), int(rec["t"]), int(rec["u"]), int(rec["v"])),
-            norm_sq=int(rec["norm_sq"]),
-            digits=parse_digit_word(rec["digits"]),
-            length=int(rec["length"]),
-        ))
+    columns = dict(s=int, t=int, u=int, v=int, norm_sq=int,
+                   digits=parse_digit_word, length=int)
+    rows = [TableRow(ZTau(*f[:4]), *f[4:]) for f in _parse_fixture(name, columns)]
     return TableFixture(id=tnaf_table_id(mu, j), rows=tuple(rows))
 
 
@@ -207,29 +216,21 @@ def gls_nonuniqueness_census(mu: int) -> list[NonUniquenessWitness]:
     """
     check_mu(mu)
     out = []
-    for c3 in GLS_DIGITS:
-        for c2 in GLS_DIGITS:
-            for c1 in GLS_DIGITS:
-                for c0 in GLS_DIGITS:
-                    if c0 == 0 or (c3 != 0 and c2 != 0 and c1 != 0):
-                        continue
-                    word = (c3, c2, c1, c0)
-                    element = evaluate_expansion(
-                        tuple(reversed(word)), mu)
-                    canonical = expand_gls(element, mu)
-                    if canonical.digits[0].a != c0:
-                        out.append(NonUniquenessWitness(
-                            word=word, element=element, canonical=canonical))
+    for word in itertools.product(GLS_DIGITS, repeat=4):
+        if word[-1] == 0 or 0 not in word:
+            continue
+        element = evaluate_expansion([(c, 0) for c in reversed(word)], mu)
+        canonical = expand_gls(element, mu)
+        if canonical.digits[0].a != word[-1]:
+            out.append(NonUniquenessWitness(
+                word=word, element=element, canonical=canonical))
     return out
 
 
 def load_gls_nonuniqueness_fixture(mu: int) -> list[tuple]:
     check_mu(mu)
     name = f"gls_nonuniqueness_{_mu_tag(mu)}.csv"
-    words = []
-    for rec in csv.DictReader(io.StringIO(fixture_text(name))):
-        words.append(tuple(int(rec[k]) for k in ("c3", "c2", "c1", "c0")))
-    return words
+    return _parse_fixture(name, dict.fromkeys(("c3", "c2", "c1", "c0"), int))
 
 
 def check_census(mu: int) -> list[CheckResult]:
@@ -274,8 +275,8 @@ def check_gls_two_expansion_family(mu: int) -> list[CheckResult]:
               and canonical.digits == long_word
               and short_stripped != canonical.digits)
         if b != 0:
-            long_weight = sum(1 for c in long_word if not c.is_zero())
-            short_weight = sum(1 for c in short_word if not c.is_zero())
+            long_weight = len(long_word) - long_word.count(ZERO_DIGIT)
+            short_weight = len(short_word) - short_word.count(ZERO_DIGIT)
             ok = ok and long_weight > short_weight
         results.append(CheckResult(
             f"gls-two-expansions-b={b}-mu={_mu_label(mu)}", ok))

@@ -113,6 +113,46 @@ def test_digit_set_out_of_range_exits_2(command, j):
     assert "Traceback" not in done.stderr
 
 
+def _fixture_rows(name: str, n: int) -> str:
+    fixtures = Path(tauadic.__file__).resolve().parent / "fixtures"
+    return "".join((fixtures / name).read_text().splitlines(True)[:n])
+
+
+_P1_J01 = "tnaf_existence_p1_j01.csv"
+
+
+@pytest.mark.parametrize("command,files,message", [
+    (["tables", "--mu", "1", "--digit-set", "1"], None, "No such file"),
+    (["census", "--mu", "-1"], None, "No such file"),
+    (["tables", "--mu", "1", "--digit-set", "1"],
+     {_P1_J01: _fixture_rows(_P1_J01, 3) + "1,0,0\n"},
+     f"{_P1_J01} line 4: 3 fields, want 7"),
+    (["census", "--mu", "1", "--format", "csv"],
+     {"gls_nonuniqueness_p1.csv": "c3,c2,c1\n-3,0,-3\n"},
+     "gls_nonuniqueness_p1.csv line 1: columns"),
+    # well-formed, but the digits of the first row do not evaluate to it
+    (["tables", "--mu", "1", "--digit-set", "1"],
+     {_P1_J01: _fixture_rows(_P1_J01, 3).replace("-1-1t;0;2", "-1-1t;0;1", 1)},
+     "digits do not evaluate to"),
+], ids=["tables-missing-dir", "census-missing-dir", "tables-short-row",
+        "census-missing-column", "tables-inconsistent-row"])
+def test_fixture_faults_exit_3(tmp_path, command, files, message):
+    fixtures_dir = tmp_path / "fixtures"
+    if files is not None:
+        fixtures_dir.mkdir()
+        for name, text in files.items():
+            (fixtures_dir / name).write_text(text)
+    src = Path(tauadic.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-m", "tauadic.cli", *command],
+        env=dict(os.environ, PYTHONPATH=str(src), TAU_FIXTURES_DIR=str(fixtures_dir)),
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 3
+    assert done.stderr.startswith("error: ") and message in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

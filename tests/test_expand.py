@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tauadic.digits import Digit, TnafDigitSet, build_tnaf_digit_set
+from tauadic.digits import (Digit, GLS_DIGITS, TnafDigitSet, ZERO_DIGIT,
+                            build_tnaf_digit_set)
 from tauadic.expand import (Expansion, GLS, TNAF, check_expansion,
                             enumerate_naf_words, expand_gls, expand_tnaf,
                             expansion_from_json, format_digit_word,
@@ -101,6 +102,39 @@ def test_is_gls_window_valid():
     assert not is_gls_window_valid([D(1, 1)])        # tau part not allowed
 
 
+def _old_is_naf(word, dset) -> bool:
+    # the adjacent-pair definition
+    return (all(c in dset.digits for c in word)
+            and not (word and word[-1] == ZERO_DIGIT)
+            and all(word[i] == ZERO_DIGIT or word[i + 1] == ZERO_DIGIT
+                    for i in range(len(word) - 1)))
+
+
+def _old_is_gls(word) -> bool:
+    # the window-of-four definition
+    return (all(b == 0 and -3 <= a <= 3 for a, b in word)
+            and not (word and word[-1] == ZERO_DIGIT)
+            and all(ZERO_DIGIT in word[i:i + 4] for i in range(len(word) - 3)))
+
+
+@pytest.mark.parametrize("form", [Digit._make, tuple], ids=["Digit", "tuple"])
+def test_word_rules_match_their_definitions(form):
+    # every word up to length 6, each alphabet with digits outside the set
+    dset = build_tnaf_digit_set(1, 1)
+    naf_alphabet = [(0, 0), (1, 0), (2, 1), (2, -1), (2, 2)]
+    gls_alphabet = [(0, 0), (1, 0), (-3, 0), (4, 0), (1, 1)]
+    valid = {"naf": 0, "gls": 0}
+    for n in range(7):
+        for raw in itertools.product(range(5), repeat=n):
+            word = tuple(form(naf_alphabet[i]) for i in raw)
+            assert is_naf(word, dset) == _old_is_naf(word, dset), word
+            valid["naf"] += is_naf(word, dset)
+            word = tuple(form(gls_alphabet[i]) for i in raw)
+            assert is_gls_window_valid(word) == _old_is_gls(word), word
+            valid["gls"] += is_gls_window_valid(word)
+    assert valid["naf"] > 100 and valid["gls"] > 100
+
+
 def test_strip_top_zeros():
     assert strip_top_zeros(le(0, 0, 2, -1)) == le(2, -1)
     assert strip_top_zeros(le(0, 0)) == ()
@@ -114,6 +148,19 @@ def test_min_hamming_weight_examples():
     # b*tau^2 + 2*mu*tau - 1 over the integer alphabet has weight 3
     gls_digits = [D(c) for c in range(-3, 4)]
     assert min_hamming_weight(ZTau(-1, 2, 3, 0), 1, gls_digits, 6) == 3
+
+
+def test_min_hamming_weight_takes_plain_pairs():
+    # the criterion-5 search, its alphabet given as sorted (a, b) tuples
+    for mu in (1, -1):
+        for j in range(1, 17):
+            dset = build_tnaf_digit_set(j, mu)
+            plain = sorted(tuple(c) for c in dset.digits)
+            target = ZTau(2, 2 * mu, 0, 0)
+            got = min_hamming_weight(target, mu, plain, 8)
+            assert got == min_hamming_weight(target, mu, dset.sorted_digits(), 8) == 2
+    gls = [(c, 0) for c in GLS_DIGITS]
+    assert min_hamming_weight(ZTau(-1, 2, 3, 0), 1, gls, 6) == 3
 
 
 def test_min_hamming_weight_unreachable():
@@ -134,7 +181,7 @@ def test_min_hamming_weight_matches_bruteforce(mu, kind, max_len):
     for n in range(max_len + 1):
         for word in itertools.product(alphabet, repeat=n):
             a = evaluate_expansion(word, mu)
-            w = sum(1 for c in word if not c.is_zero())
+            w = len(word) - word.count(ZERO_DIGIT)
             least[a] = min(w, least.get(a, w))
     assert len(least) > 100
     for a, w in least.items():

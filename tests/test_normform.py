@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from tauadic import normform
 from tauadic.normform import (BoxTooSmallError, NotPositiveDefiniteError,
                               enumerate_bruteforce_oracle,
                               enumerate_short_vectors, gram_matrix,
@@ -65,6 +66,34 @@ def test_ldl_rejects_indefinite_form():
            [0, 0, 1, 0], [0, 0, 0, 1]]
     with pytest.raises(NotPositiveDefiniteError):
         ldl_decompose(bad)
+
+
+def test_enumeration_factors_once_per_mu(monkeypatch):
+    factored = []
+
+    def counting(matrix):
+        factored.append(matrix)
+        return ldl_decompose(matrix)
+    monkeypatch.setattr(normform, "ldl_decompose", counting)
+    normform._ldl_factors.cache_clear()
+    try:
+        for bound in (2, 20, 38):
+            for mu in (1, -1):
+                enumerate_short_vectors(mu, bound)
+    finally:
+        normform._ldl_factors.cache_clear()
+    assert factored == [gram_matrix(1), gram_matrix(-1)]
+
+
+def test_enumeration_rejects_indefinite_form(monkeypatch):
+    indefinite = ((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    monkeypatch.setattr(normform, "gram_matrix", lambda mu: indefinite)
+    normform._ldl_factors.cache_clear()
+    try:
+        with pytest.raises(NotPositiveDefiniteError):
+            enumerate_short_vectors(1, 5)
+    finally:
+        normform._ldl_factors.cache_clear()
 
 
 def test_ldl_reconstructs_form():

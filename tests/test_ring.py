@@ -97,9 +97,18 @@ def test_evaluate_expansion():
     assert evaluate_expansion([], 1) == ZERO
     assert evaluate_expansion([], -1) == ZERO
     # little-endian [3, 0, b, -mu, 1] is b*tau^2 + 2*mu*tau - 1 for mu=1, b=0
-    assert evaluate_expansion([3, 0, 0, -1, 1], 1) == ZTau(-1, 2, 0, 0)
+    word = [(3, 0), (0, 0), (0, 0), (-1, 0), (1, 0)]
+    assert evaluate_expansion(word, 1) == ZTau(-1, 2, 0, 0)
     # little-endian [-2, 0, 2+tau, 0, 0, -mu] is 2*mu*tau + 2 for mu=1
-    assert evaluate_expansion([-2, 0, (2, 1), 0, 0, -1], 1) == ZTau(2, 2, 0, 0)
+    word = [(-2, 0), (0, 0), (2, 1), (0, 0), (0, 0), (-1, 0)]
+    assert evaluate_expansion(word, 1) == ZTau(2, 2, 0, 0)
+
+
+@pytest.mark.parametrize("digit", [3, 0, ZTau(1, 0, 0, 0), (1, 0, 0)])
+def test_evaluate_expansion_takes_pairs_only(digit):
+    # a digit is a (c', c'') pair; anything else raises instead of being misread
+    with pytest.raises((TypeError, ValueError)):
+        evaluate_expansion([(1, 0), digit], 1)
 
 
 def test_element_text_round_trip():

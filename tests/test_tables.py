@@ -1,6 +1,6 @@
 import pytest
 
-from tauadic.digits import Digit
+from tauadic.digits import Digit, ZERO_DIGIT
 from tauadic.expand import expand_gls, expand_tnaf, parse_digit_word
 from tauadic.ring import ZTau, evaluate_expansion
 from tauadic.tables import (CENSUS_SIZE, FixtureError, GLS_TABLE_SIZE,
@@ -138,7 +138,7 @@ def test_census_witnesses_have_two_expansions():
             assert evaluate_expansion(word_le, mu) == w.element
             assert w.canonical.digits == expand_gls(w.element, mu).digits
             stripped = tuple(c for c in word_le)
-            while stripped and stripped[-1].is_zero():
+            while stripped and stripped[-1] == ZERO_DIGIT:
                 stripped = stripped[:-1]
             assert stripped != w.canonical.digits
 
@@ -191,3 +191,29 @@ def test_fixture_dir_override(tmp_path, monkeypatch):
     fix = load_tnaf_existence_fixture(1, 1)
     assert len(fix.rows) == 1
     assert fix.rows[0].element == ZTau(1, 0, 0, 0)
+
+
+@pytest.mark.parametrize("text,where", [
+    ("s,t,u,v,norm_sq,digits\n1,0,0,0,2,1\n", "line 1: columns"),
+    ("s,t,u,v,norm_sq,digits,length\n1,0,0,0,2,1,1\n1,0,0,0,2,1\n",
+     "line 3: 6 fields, want 7"),
+    ("s,t,u,v,norm_sq,digits,length\n1,0,x,0,2,1,1\n", "line 2: invalid literal"),
+    ("s,t,u,v,norm_sq,digits,length\n1,0,0,0,2,1+t,1\n", "line 2: malformed digit"),
+])
+def test_tnaf_fixture_faults_name_file_and_line(tmp_path, monkeypatch, text, where):
+    (tmp_path / "tnaf_existence_p1_j01.csv").write_text(text)
+    monkeypatch.setenv("TAU_FIXTURES_DIR", str(tmp_path))
+    with pytest.raises(FixtureError, match=f"tnaf_existence_p1_j01.csv {where}"):
+        load_tnaf_existence_fixture(1, 1)
+
+
+@pytest.mark.parametrize("text,where", [
+    ("c3,c2,c1\n-3,0,-3\n", "line 1: columns"),
+    ("c3,c2,c1,c0\n-3,0,-3,-3\n\n-3,0,-3\n", "line 4: 3 fields, want 4"),
+    ("c3,c2,c1,c0\n-3,0,-3,1.5\n", "line 2: invalid literal"),
+])
+def test_census_fixture_faults_name_file_and_line(tmp_path, monkeypatch, text, where):
+    (tmp_path / "gls_nonuniqueness_m1.csv").write_text(text)
+    monkeypatch.setenv("TAU_FIXTURES_DIR", str(tmp_path))
+    with pytest.raises(FixtureError, match=f"gls_nonuniqueness_m1.csv {where}"):
+        load_gls_nonuniqueness_fixture(-1)
