@@ -9,13 +9,16 @@ census     recompute the GLS non-uniqueness census and compare with fixtures
 check      run a seeded randomized property suite
 
 Exit status: 0 on success, 1 on a verification mismatch or failed check,
-2 on a usage error, 3 on a fixture or I/O error.
+2 on a usage error, 3 on a fixture or I/O error.  A reader that closes
+stdout early (``tauadic enumerate ... | head -1``) is not an error: the
+command stops quietly with the status 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import checks, tables
@@ -192,7 +195,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the flush at shutdown cannot
+        # raise again (the SIGPIPE note in the docs of Python's signal module).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (OSError, UnicodeDecodeError, tables.FixtureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FIXTURE_ERROR

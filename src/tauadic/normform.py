@@ -11,17 +11,20 @@ norm on coefficient vectors whose square is the integer form
 The diagonal is 2^(j+1); the cross coefficient of c_j*c_k is 2^j times
 the (k-j)-th power sum of the polynomial's roots (p1 = mu, p2 = 1,
 p3 = 7mu by Newton's identities).  Enumeration below a bound uses the
-exact rational LDL factorization of the form; floating point never
-enters.
+exact LDL factorization of the form, scaled once per mu to integer tables,
+so the enumeration loop does integer arithmetic only: no Fraction and no
+floating point.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from itertools import chain
+from math import isqrt, lcm
 
 from .ring import ZTau, check_mu
 
@@ -59,10 +62,21 @@ def gram_matrix(mu: int) -> tuple:
 
 @functools.cache
 def _ldl_factors(mu: int) -> tuple:
-    """(l, d) of gram_matrix(mu) as tuples, factored once per mu; raises
-    NotPositiveDefiniteError on first use if the form is not definite."""
+    """Integer-scaled LDL factors (m, w, n) of gram_matrix(mu), built once
+    per mu, with m * norm_sq(x) = sum_i w[i] * y_i^2 and
+    y_i = sum_{j>=i} n[i][j] * x_j.
+
+    Row i of the rational factor l is scaled by its common denominator
+    n[i][i], and m is the common denominator of the d[i] / n[i][i]^2.
+    Raises NotPositiveDefiniteError on first use if the form is not definite.
+    """
     l, d = ldl_decompose(gram_matrix(mu))
-    return tuple(map(tuple, l)), tuple(d)
+    scales = [functools.reduce(lcm, (x.denominator for x in row)) for row in l]
+    pivots = [d[i] / (scales[i] * scales[i]) for i in range(DIM)]
+    m = functools.reduce(lcm, (p.denominator for p in pivots))
+    w = tuple(int(m * p) for p in pivots)
+    n = tuple(tuple(int(scales[i] * x) for x in row) for i, row in enumerate(l))
+    return m, w, n
 
 
 def ldl_decompose(matrix) -> tuple[list[list[Fraction]], list[Fraction]]:
@@ -119,79 +133,109 @@ def _quadratic_int_range(qa: int, qb: int, qc: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _level_range(budget: Fraction, pivot: Fraction, center: Fraction) -> tuple[int, int]:
-    # pivot * (x + center)^2 <= budget, as an integer quadratic inequality.
-    cn, cd = center.numerator, center.denominator
-    bn, bd = (budget / pivot).numerator, (budget / pivot).denominator
-    # (x*cd + cn)^2 * bd <= bn * cd^2
-    qa = bd * cd * cd
-    qb = 2 * bd * cd * cn
-    qc = bd * cn * cn - bn * cd * cd
-    return _quadratic_int_range(qa, qb, qc)
+def _quads(coords: tuple):
+    """The (s, t, u, v) tuples of a flat coordinate tuple, in order."""
+    it = iter(coords)
+    return zip(it, it, it, it)
 
 
 @dataclass(frozen=True)
 class ShortVectorSet:
     """All elements with 0 < Q <= bound (0 included only on request),
-    sorted by (norm_sq, s, t, u, v)."""
+    sorted by (norm_sq, s, t, u, v).
+
+    Kept as norm shells: ``shells`` holds one (norm_sq, coords) pair per
+    norm, in increasing order, where coords lists s, t, u, v of each
+    element of the shell in turn, elements in increasing (s, t, u, v)
+    order.  At bound 1000 that is about 44 bytes an element (four list
+    slots, and an int object for each coordinate outside the interpreter's
+    shared small ints) instead of about 160 for a ZTau with its
+    (ZTau, norm_sq) pair; ``elements`` builds those pairs on every access.
+    """
 
     mu: int
     bound: int
-    elements: tuple  # of (ZTau, norm_sq) pairs
+    shells: tuple  # of (norm_sq, flat coordinate tuple) pairs
+
+    @property
+    def elements(self) -> tuple:
+        """The (ZTau, norm_sq) pairs in order."""
+        return tuple((ZTau(*c), q) for q, coords in self.shells for c in _quads(coords))
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return sum(len(coords) for _, coords in self.shells) // DIM
 
     def element_set(self) -> frozenset:
-        return frozenset(e for e, _ in self.elements)
+        return frozenset(ZTau(*c) for _, coords in self.shells for c in _quads(coords))
 
     def to_csv(self) -> str:
-        lines = ["s,t,u,v,norm_sq"]
-        lines += [f"{e.s},{e.t},{e.u},{e.v},{n}" for e, n in self.elements]
-        return "\n".join(lines) + "\n"
+        # one string per shell, so the rows of a single shell are the only
+        # per-row objects alive at a time
+        chunks = ["s,t,u,v,norm_sq\n"]
+        chunks += ["".join(f"{s},{t},{u},{v},{q}\n" for s, t, u, v in _quads(coords))
+                   for q, coords in self.shells]
+        return "".join(chunks)
 
     def to_json(self) -> str:
-        obj = [{"element": list(e), "norm_sq": n} for e, n in self.elements]
+        obj = [{"element": list(c), "norm_sq": q}
+               for q, coords in self.shells for c in _quads(coords)]
         return json.dumps(obj, separators=(",", ":"))
 
 
-def _sorted_set(mu: int, bound: int, pairs) -> ShortVectorSet:
-    ordered = sorted(pairs, key=lambda p: (p[1], p[0]))
-    return ShortVectorSet(mu=mu, bound=bound, elements=tuple(ordered))
+def _shell_set(mu: int, bound: int, shells: dict) -> ShortVectorSet:
+    """The ShortVectorSet of a dict norm_sq -> flat coordinate list, each
+    shell sorted here; empties the dict as it goes."""
+    ordered = []
+    for q in sorted(shells):
+        ordered.append((q, tuple(chain.from_iterable(sorted(_quads(shells.pop(q)))))))
+    return ShortVectorSet(mu=mu, bound=bound, shells=tuple(ordered))
+
+
+def _level_xs(wk: int, lk: int, c: int, budget: int) -> range:
+    """The integers x with wk * (lk * x + c)^2 <= budget."""
+    lo, hi = _quadratic_int_range(wk * lk * lk, 2 * wk * lk * c, wk * c * c - budget)
+    return range(lo, hi + 1)
 
 
 def enumerate_short_vectors(mu: int, bound: int, include_zero: bool = False) -> ShortVectorSet:
-    """All elements with norm_sq <= bound, by exact recursive enumeration.
+    """All elements with norm_sq <= bound, by exact integer enumeration
+    (Fincke-Pohst).
 
-    Levels run from the v coordinate down to s; at each level the integer
-    range follows from the LDL pivots and the budget left over from the
-    levels above.
+    Levels run from the v coordinate down to s.  Level k keeps the integer
+    budget r = m * bound minus the w[i] * y_i^2 of the levels above it, and
+    its range of x_k solves w[k] * y_k^2 <= r.  The coordinates are
+    collected into one flat list of ints per norm, so that sorting each
+    shell gives the (norm_sq, s, t, u, v) order; no per-element object
+    outlives the loop.
     """
     check_mu(mu)
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
-    l, d = _ldl_factors(mu)
-    found: list[tuple[ZTau, int]] = []
-    coords = [0] * DIM
-
-    def descend(level: int, budget: Fraction) -> None:
-        if level < 0:
-            e = ZTau(*coords)
-            n = norm_sq(e, mu)
-            if n or include_zero:
-                found.append((e, n))
-            return
-        center = sum((l[level][j] * coords[j] for j in range(level + 1, DIM)),
-                     start=Fraction(0))
-        lo, hi = _level_range(budget, d[level], center)
-        for x in range(lo, hi + 1):
-            coords[level] = x
-            used = d[level] * (x + center) ** 2
-            descend(level - 1, budget - used)
-        coords[level] = 0
-
-    descend(DIM - 1, Fraction(bound))
-    return _sorted_set(mu, bound, found)
+    m, (w0, w1, w2, w3), n = _ldl_factors(mu)
+    (n00, n01, n02, n03), (_, n11, n12, n13), (_, _, n22, n23), (_, _, _, n33) = n
+    shells: defaultdict[int, list[int]] = defaultdict(list)
+    # Plain nested loops, one per level from v down to s: a recursive inner
+    # function would sit in a reference cycle with its closure and keep the
+    # shells alive after the call until the garbage collector next runs.
+    # At each level y = n_kk * x + c with c fixed by the levels above, and r
+    # is the budget those levels leave.
+    r3 = m * bound
+    for v in _level_xs(w3, n33, 0, r3):
+        r2 = r3 - w3 * (n33 * v) ** 2
+        c2 = n23 * v
+        for u in _level_xs(w2, n22, c2, r2):
+            r1 = r2 - w2 * (n22 * u + c2) ** 2
+            c1 = n12 * u + n13 * v
+            for t in _level_xs(w1, n11, c1, r1):
+                r0 = r1 - w1 * (n11 * t + c1) ** 2
+                c0 = n01 * t + n02 * u + n03 * v
+                for s in _level_xs(w0, n00, c0, r0):
+                    y = n00 * s + c0
+                    # the budget left is m * (bound - norm_sq), exactly
+                    shells[bound - (r0 - w0 * y * y) // m].extend((s, t, u, v))
+    if not include_zero:
+        shells.pop(0, None)
+    return _shell_set(mu, bound, shells)
 
 
 def enumerate_bruteforce_oracle(mu: int, bound: int, box: int) -> ShortVectorSet:
@@ -204,7 +248,7 @@ def enumerate_bruteforce_oracle(mu: int, bound: int, box: int) -> ShortVectorSet
     if box < 1:
         raise ValueError(f"box must be >= 1, got {box}")
     rng = range(-box, box + 1)
-    found = []
+    shells: defaultdict[int, list[int]] = defaultdict(list)
     for s in rng:
         for t in rng:
             for u in rng:
@@ -216,5 +260,5 @@ def enumerate_bruteforce_oracle(mu: int, bound: int, box: int) -> ShortVectorSet
                         if box in (abs(s), abs(t), abs(u), abs(v)):
                             raise BoxTooSmallError(
                                 f"qualifying vector ({s},{t},{u},{v}) on the box edge")
-                        found.append((ZTau(s, t, u, v), n))
-    return _sorted_set(mu, bound, found)
+                        shells[n].extend((s, t, u, v))
+    return _shell_set(mu, bound, shells)

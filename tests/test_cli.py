@@ -250,3 +250,19 @@ def test_check_deterministic_output(capsys):
     _, second, _ = run(capsys, "check", "--suite", "norm", "--seed", "3",
                        "--scale", "quick")
     assert first == second
+
+
+def test_closed_stdout_exits_0():
+    # a reader that stops early, as `tauadic enumerate ... | head -1` does
+    src = Path(tauadic.__file__).resolve().parent.parent
+    with subprocess.Popen(
+            [sys.executable, "-m", "tauadic.cli", "enumerate", "--mu", "1",
+             "--bound", "300"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline() == "-1,0,0,0  norm_sq=2\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        status = proc.wait(timeout=60)
+    assert status == 0
+    assert err == ""  # no message, no traceback

@@ -1,5 +1,9 @@
+import gc
 import json
+import random
 from fractions import Fraction
+from itertools import permutations
+from math import isqrt, prod
 
 import pytest
 
@@ -105,6 +109,98 @@ def test_ldl_reconstructs_form():
                 inner = x[i] + sum(l[i][j] * x[j] for j in range(i + 1, 4))
                 total += d[i] * inner * inner
             assert total == norm_sq(x, mu)
+
+
+def test_integer_tables_reconstruct_scaled_form():
+    rng = random.Random(5)
+    for mu in (1, -1):
+        m, w, n = normform._ldl_factors(mu)
+        assert all(type(x) is int for x in (m, *w, *(c for row in n for c in row)))
+        assert all(n[i][j] == 0 for i in range(4) for j in range(i))
+        for _ in range(500):
+            x = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(4)]
+            y = [sum(n[i][j] * x[j] for j in range(i, 4)) for i in range(4)]
+            assert sum(wi * yi * yi for wi, yi in zip(w, y)) == m * norm_sq(x, mu)
+
+
+def _det(matrix) -> Fraction:
+    def sign(p):
+        return (-1) ** sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p)))
+    return sum((sign(p) * prod(row[k] for row, k in zip(matrix, p))
+                for p in permutations(range(len(matrix)))), Fraction(0))
+
+
+def _line_histogram(mu: int, bound: int) -> dict:
+    """{norm: count} over all elements with norm_sq <= bound (zero included),
+    solving each (t, u, v) line for s by walking out from the real minimum;
+    the box is |x_j| <= sqrt(bound * (A^-1)_jj) for the Gram matrix A."""
+    a = gram_matrix(mu)
+    det = _det(a)
+    box = []
+    for j in (1, 2, 3):
+        minor = [[a[r][c] for c in range(4) if c != j] for r in range(4) if r != j]
+        box.append(isqrt(int(bound * _det(minor) / det)) + 1)
+    hist: dict[int, int] = {}
+    for t in range(-box[0], box[0] + 1):
+        for u in range(-box[1], box[1] + 1):
+            for v in range(-box[2], box[2] + 1):
+                # norm_sq is 2s^2 + b*s + c on the line, smallest at s = -b/4
+                b = mu * t + u + 7 * mu * v
+                for start, step in ((-b // 4, -1), (-b // 4 + 1, 1)):
+                    s = start
+                    while (q := norm_sq((s, t, u, v), mu)) <= bound:
+                        hist[q] = hist.get(q, 0) + 1
+                        s += step
+    return hist
+
+
+def test_enumeration_matches_line_count():
+    top = 300
+    for mu in (1, -1):
+        hist = _line_histogram(mu, top)
+        for bound in (0, 1, 2, 3, 7, 20, 38, 64, 101, 200, 257, top):
+            expected = sum(k for q, k in hist.items() if 0 < q <= bound)
+            for include_zero in (False, True):
+                found = enumerate_short_vectors(mu, bound, include_zero)
+                keys = [(q, *e) for e, q in found.elements]
+                assert all(norm_sq(e, mu) == q for e, q in found.elements)
+                assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+                assert all(0 < q <= bound or (include_zero and q == 0) for q, *_ in keys)
+                assert len(found) == expected + include_zero, (mu, bound, include_zero)
+
+
+def test_short_vector_set_views_agree():
+    # elements, len, element_set, to_csv and to_json all read the same
+    # flat coordinate shells
+    for mu in (1, -1):
+        for include_zero in (False, True):
+            found = enumerate_short_vectors(mu, 120, include_zero)
+            pairs = found.elements
+            assert all(type(e) is ZTau for e, _ in pairs)
+            assert len(found) == len(pairs) == len(found.element_set())
+            assert found.element_set() == {e for e, _ in pairs}
+            assert [q for q, _ in found.shells] == sorted({q for _, q in pairs})
+            rows = found.to_csv().splitlines()
+            assert rows[0] == "s,t,u,v,norm_sq"
+            assert rows[1:] == [f"{e.s},{e.t},{e.u},{e.v},{q}" for e, q in pairs]
+            assert json.loads(found.to_json()) == [
+                {"element": list(e), "norm_sq": q} for e, q in pairs]
+        # the oracle's shells are built by the same code path from scan order
+        assert enumerate_bruteforce_oracle(mu, 50, 8) == enumerate_short_vectors(mu, 50)
+
+
+def test_enumeration_leaves_no_cyclic_garbage():
+    # Everything the enumeration allocates is freed when the call returns,
+    # not at the next collection.
+    gc.collect()
+    gc.disable()
+    try:
+        for mu in (1, -1):
+            enumerate_short_vectors(mu, 200)
+            enumerate_short_vectors(mu, 20, include_zero=True).to_csv()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_enumeration_counts():
