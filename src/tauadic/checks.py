@@ -12,7 +12,6 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable
 
 from .digits import (GLS_DIGITS, _residue_cells, all_tnaf_digit_sets,
@@ -20,8 +19,9 @@ from .digits import (GLS_DIGITS, _residue_cells, all_tnaf_digit_sets,
                      tnaf_candidates, tnaf_digit, validate_digit_set)
 from .expand import (GLS, TNAF, expand_gls, expand_tnaf, is_gls_window_valid,
                      is_naf, norm_trace)
-from .normform import (enumerate_bruteforce_oracle, enumerate_short_vectors,
-                       gram_matrix, ldl_decompose, norm_sq)
+from .normform import (NotPositiveDefiniteError, _ldl_factors,
+                       enumerate_bruteforce_oracle, enumerate_short_vectors,
+                       norm_sq)
 from .ring import (TAU, ZERO, ZTau, evaluate_expansion, multiply,
                    quotient_by_tau, tau_divides, tau_sq_divides)
 
@@ -138,24 +138,23 @@ def norm_suite(seed: int, scale: str = "full") -> list[CheckResult]:
     rng = random.Random(seed)
     results = []
 
+    # the integer tables (m, w, n) that enumerate_short_vectors runs on
     factors = {}
     for mu in (1, -1):
         try:
-            factors[mu] = ldl_decompose(gram_matrix(mu))
+            factors[mu] = _ldl_factors(mu)
             ok = all(p > 0 for p in factors[mu][1])
-        except Exception:
+        except NotPositiveDefiniteError:
             ok = False
         results.append(CheckResult(f"ldl-pivots-positive-mu={mu:+d}", ok))
 
     n_ldl = _scaled(1_000, scale)
     def ldl_reconstructs(case) -> bool:
         mu, x = case
-        l, d = factors[mu]
-        total = Fraction(0)
-        for i in range(4):
-            inner = x[i] + sum(l[i][j] * x[j] for j in range(i + 1, 4))
-            total += d[i] * inner * inner
-        return total == norm_sq(x, mu)
+        m, w, n = factors[mu]
+        total = sum(w[i] * sum(n[i][j] * x[j] for j in range(i, 4)) ** 2
+                    for i in range(4))
+        return total == m * norm_sq(x, mu)
     results.append(_counted(
         "ldl-reconstructs-form",
         [(mu, _random_element(rng, 100)) for mu in (1, -1)

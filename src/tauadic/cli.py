@@ -9,9 +9,10 @@ census     recompute the GLS non-uniqueness census and compare with fixtures
 check      run a seeded randomized property suite
 
 Exit status: 0 on success, 1 on a verification mismatch or failed check,
-2 on a usage error, 3 on a fixture or I/O error.  A reader that closes
-stdout early (``tauadic enumerate ... | head -1``) is not an error: the
-command stops quietly with the status 0.
+2 on a usage error, 3 on a fixture or I/O error, 4 on an internal error (a
+bug; one ``error: internal error ...`` line and no traceback).  A reader
+that closes stdout early (``tauadic enumerate ... | head -1``) is not an
+error: the command stops quietly with the status 0.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .ring import format_element, mu_from_curve_coeff, parse_element
 
 USAGE_ERROR = 2
 FIXTURE_ERROR = 3
+INTERNAL_ERROR = 4
 
 
 class UsageError(ValueError):
@@ -94,7 +96,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_expand(args: argparse.Namespace) -> int:
     mu = _resolve_mu(args)
-    element = parse_element(args.element)
+    try:
+        element = parse_element(args.element)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     j = _digit_set(args)
     if args.method == "tnaf":
         if j is None:
@@ -206,9 +211,12 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError, tables.FixtureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FIXTURE_ERROR
-    except ValueError as exc:  # UsageError included
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:
+        print(f"error: internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -79,14 +79,30 @@ def _json_ints(value, field: str, n: int) -> list:
 
 
 def expansion_from_json(text: str) -> Expansion:
+    """Inverse of ``Expansion.to_json``; a malformed field raises ValueError."""
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError(f"expansion must be a JSON object, got {type(obj).__name__}")
+    keys = ("kind", "mu", "digit_set", "element", "digits")
+    try:
+        kind, mu, j, element, digits = (obj[k] for k in keys)
+    except KeyError as exc:
+        raise ValueError(f"expansion has no {exc.args[0]!r} field") from None
+    if kind not in (GLS, TNAF):
+        raise ValueError(f"kind must be 'gls' or 'tnaf', got {kind!r}")
+    if type(mu) is not int or mu not in (1, -1):
+        raise ValueError(f"mu must be 1 or -1, got {mu!r}")
+    if (j is not None) if kind == GLS else not (type(j) is int and 1 <= j <= 16):
+        raise ValueError(f"digit_set must be null for gls and 1..16 for tnaf, got {j!r}")
+    if not isinstance(digits, list):
+        raise ValueError(f"digits must be a list, got {digits!r}")
     return Expansion(
-        kind=obj["kind"],
-        mu=obj["mu"],
-        digit_set_id=obj["digit_set"],
+        kind=kind,
+        mu=mu,
+        digit_set_id=j,
         digits=tuple(Digit(*_json_ints(c, f"digits[{i}]", 2))
-                     for i, c in enumerate(obj["digits"])),
-        source=ZTau(*_json_ints(obj["element"], "element", 4)),
+                     for i, c in enumerate(digits)),
+        source=ZTau(*_json_ints(element, "element", 4)),
     )
 
 

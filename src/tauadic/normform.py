@@ -104,35 +104,6 @@ def ldl_decompose(matrix) -> tuple[list[list[Fraction]], list[Fraction]]:
     return l, d
 
 
-def _quadratic_int_range(qa: int, qb: int, qc: int) -> tuple[int, int]:
-    """Integer solutions of qa*x^2 + qb*x + qc <= 0 (qa > 0) as [lo, hi].
-
-    Returns an empty range (lo > hi) when there are none.  Exact: isqrt
-    underestimates the root by less than one, so at most one endpoint
-    adjustment is ever needed.
-    """
-    disc = qb * qb - 4 * qa * qc
-    if disc < 0:
-        return 1, 0
-    r = isqrt(disc)
-
-    def le_upper(x: int) -> bool:
-        m = 2 * qa * x + qb
-        return m <= 0 or m * m <= disc
-
-    def ge_lower(x: int) -> bool:
-        m = 2 * qa * x + qb
-        return m >= 0 or m * m <= disc
-
-    hi = (r - qb) // (2 * qa)
-    while le_upper(hi + 1):
-        hi += 1
-    lo = -((r + qb) // (2 * qa))
-    while not ge_lower(lo):
-        lo += 1
-    return lo, hi
-
-
 def _quads(coords: tuple):
     """The (s, t, u, v) tuples of a flat coordinate tuple, in order."""
     it = iter(coords)
@@ -192,9 +163,10 @@ def _shell_set(mu: int, bound: int, shells: dict) -> ShortVectorSet:
 
 
 def _level_xs(wk: int, lk: int, c: int, budget: int) -> range:
-    """The integers x with wk * (lk * x + c)^2 <= budget."""
-    lo, hi = _quadratic_int_range(wk * lk * lk, 2 * wk * lk * c, wk * c * c - budget)
-    return range(lo, hi + 1)
+    """The integers x with wk * (lk * x + c)^2 <= budget (budget >= 0, lk > 0),
+    that is, since lk * x + c is an integer, |lk * x + c| <= isqrt(budget // wk)."""
+    y = isqrt(budget // wk)
+    return range(-((y + c) // lk), (y - c) // lk + 1)
 
 
 def enumerate_short_vectors(mu: int, bound: int, include_zero: bool = False) -> ShortVectorSet:

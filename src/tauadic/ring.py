@@ -77,28 +77,16 @@ ONE = ZTau(1, 0, 0, 0)
 TAU = ZTau(0, 1, 0, 0)
 
 
-def _reduction_rows(mu: int) -> tuple[ZTau, ZTau, ZTau]:
-    # tau^4, tau^5, tau^6 expanded on the basis (1, tau, tau^2, tau^3).
-    t4 = ZTau(-4, 2 * mu, 0, mu)
-    t5 = ZTau(-4 * mu, -2, 2 * mu, 1)
-    t6 = ZTau(-4, -2 * mu, -2, 3 * mu)
-    return t4, t5, t6
-
-
 def multiply(a: ZTau, b: ZTau, mu: int) -> ZTau:
-    """Ring product, schoolbook convolution reduced by the degree-4 relation."""
+    """Ring product by Horner's rule over the coefficients of b, with the
+    tau-shift of ``evaluate_expansion``."""
     check_mu(mu)
-    p = [0] * 7
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                p[i + j] += x * y
-    res = ZTau(p[0], p[1], p[2], p[3])
-    for coeff, row in zip(p[4:], _reduction_rows(mu)):
-        if coeff:
-            res = ZTau(res.s + coeff * row.s, res.t + coeff * row.t,
-                       res.u + coeff * row.u, res.v + coeff * row.v)
-    return res
+    a0, a1, a2, a3 = a
+    s = t = u = v = 0
+    for k in reversed(b):
+        m = mu * v
+        s, t, u, v = k * a0 - 4 * v, k * a1 + s + 2 * m, k * a2 + t, k * a3 + u + m
+    return ZTau(s, t, u, v)
 
 
 def tau_divides(a: ZTau) -> bool:

@@ -27,10 +27,10 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 
 from .checks import CheckResult
-from .digits import Digit, GLS_DIGITS, ZERO_DIGIT, build_tnaf_digit_set
+from .digits import Digit, GLS_DIGITS, build_tnaf_digit_set
 from .expand import (Expansion, expand_gls, expand_tnaf, format_digit_word,
-                     is_gls_window_valid, is_naf, min_hamming_weight,
-                     parse_digit_word, strip_top_zeros)
+                     is_gls_window_valid, is_naf, parse_digit_word,
+                     strip_top_zeros)
 from .normform import enumerate_short_vectors, norm_sq
 from .ring import ZTau, check_mu, evaluate_expansion
 
@@ -254,62 +254,6 @@ def check_census(mu: int) -> list[CheckResult]:
                 f"census-witness-{w.word}-mu={_mu_label(mu)}", False,
                 "witness fails its defining properties"))
     return results
-
-
-def check_gls_two_expansion_family(mu: int) -> list[CheckResult]:
-    """For every digit b: the words (0, b, 2mu, -1) and (1, -mu, b, 0, 3)
-    both denote b*tau^2 + 2*mu*tau - 1, both are window-valid, the second
-    is the canonical recoding, and its weight is larger for b != 0."""
-    check_mu(mu)
-    results = []
-    for b in GLS_DIGITS:
-        target = ZTau(-1, 2 * mu, b, 0)
-        short_word = tuple(Digit(c, 0) for c in (-1, 2 * mu, b, 0))     # LE
-        long_word = tuple(Digit(c, 0) for c in (3, 0, b, -mu, 1))       # LE
-        short_stripped = strip_top_zeros(short_word)
-        canonical = expand_gls(target, mu)
-        ok = (evaluate_expansion(short_word, mu) == target
-              and evaluate_expansion(long_word, mu) == target
-              and is_gls_window_valid(short_stripped)
-              and is_gls_window_valid(long_word)
-              and canonical.digits == long_word
-              and short_stripped != canonical.digits)
-        if b != 0:
-            long_weight = len(long_word) - long_word.count(ZERO_DIGIT)
-            short_weight = len(short_word) - short_word.count(ZERO_DIGIT)
-            ok = ok and long_weight > short_weight
-        results.append(CheckResult(
-            f"gls-two-expansions-b={b}-mu={_mu_label(mu)}", ok))
-    return results
-
-
-def check_tnaf_weight_gap(mu: int) -> list[CheckResult]:
-    """For every digit set: the recoded weight of 2 + 2*mu*tau is 3 or 4
-    (3 exactly when 2 + mu*tau is available), while the two-digit word
-    (2mu, 2) shows the true minimum weight 2."""
-    check_mu(mu)
-    target = ZTau(2, 2 * mu, 0, 0)
-    witness = (Digit(2, 0), Digit(2 * mu, 0))  # LE for (2mu, 2)
-    results = []
-    for j in range(1, 17):
-        dset = build_tnaf_digit_set(j, mu)
-        naf = expand_tnaf(target, mu, j)
-        expected_weight = 3 if Digit(2, mu) in dset.digits else 4
-        minimum = min_hamming_weight(target, mu, dset.sorted_digits(), max_len=8)
-        ok = (naf.weight == expected_weight
-              and naf.weight in (3, 4)
-              and minimum == 2
-              and evaluate_expansion(witness, mu) == target
-              and all(c in dset.digits for c in witness))
-        results.append(CheckResult(
-            f"tnaf-weight-gap-j={j}-mu={_mu_label(mu)}", ok,
-            f"naf weight {naf.weight} (want {expected_weight}), minimum {minimum}"))
-    return results
-
-
-def verify_counterexamples(mu: int) -> list[CheckResult]:
-    """Pass/fail report for the non-uniqueness family and the weight gap."""
-    return check_gls_two_expansion_family(mu) + check_tnaf_weight_gap(mu)
 
 
 def run_table_checks(mus: Iterable[int] = (1, -1),

@@ -153,6 +153,17 @@ def test_fixture_faults_exit_3(tmp_path, command, files, message):
     assert done.stdout == ""
 
 
+@pytest.mark.parametrize("error", [ValueError, RuntimeError])
+def test_internal_errors_exit_4(capsys, monkeypatch, error):
+    # a fault deep inside the library is not a usage error
+    def broken(*args, **kwargs):
+        raise error("boom")
+    monkeypatch.setattr(tauadic.tables, "expand_tnaf", broken)
+    status, out, err = run(capsys, "tables", "--mu", "1", "--digit-set", "1")
+    assert status == 4
+    assert err.splitlines() == [f"error: internal error ({error.__name__}): boom"]
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

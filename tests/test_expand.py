@@ -249,6 +249,33 @@ def test_expansion_from_json_rejects_non_integer_coefficients(field, bad):
         expansion_from_json(json.dumps(obj))
 
 
+_GOOD_GLS = {"kind": "gls", "mu": 1, "digit_set": None, "element": [1, 0, 0, 0],
+             "digits": [[1, 0]]}
+
+
+@pytest.mark.parametrize("doc,field", [
+    ('[1, 2]', "object"),
+    ('"gls"', "object"),
+    (dict(_GOOD_GLS, kind="zzz"), "kind"),
+    (dict(_GOOD_GLS, kind=None), "kind"),
+    (dict(_GOOD_GLS, mu=7), "mu"),
+    (dict(_GOOD_GLS, mu=True), "mu"),
+    (dict(_GOOD_GLS, mu=1.0), "mu"),
+    (dict(_GOOD_GLS, digit_set=3), "digit_set"),
+    (dict(_GOOD_GLS, kind="tnaf", digit_set=99), "digit_set"),
+    (dict(_GOOD_GLS, kind="tnaf", digit_set=0), "digit_set"),
+    (dict(_GOOD_GLS, kind="tnaf", digit_set=None), "digit_set"),
+    (dict(_GOOD_GLS, kind="tnaf", digit_set=True), "digit_set"),
+    (dict(_GOOD_GLS, digits=5), "digits"),
+] + [({k: v for k, v in _GOOD_GLS.items() if k != key}, key) for key in _GOOD_GLS])
+def test_expansion_from_json_rejects_bad_documents(doc, field):
+    text = doc if isinstance(doc, str) else json.dumps(doc)
+    with pytest.raises(ValueError, match=rf"\b{field}\b"):
+        expansion_from_json(text)
+    # the document each case spoils is itself valid
+    assert check_expansion(expansion_from_json(json.dumps(_GOOD_GLS))) is None
+
+
 def test_digit_word_text_round_trip():
     word = le((1, -1), 0, 0, (-1, 2))
     text = format_digit_word(word)

@@ -52,11 +52,15 @@ def test_tuple_operators_do_not_leak_through():
 
 
 def test_multiply_tau_powers():
-    # tau * tau^3 is the degree-4 relation rearranged
-    assert multiply(TAU, ZTau(0, 0, 0, 1), 1) == ZTau(-4, 2, 0, 1)
-    assert multiply(TAU, ZTau(0, 0, 0, 1), -1) == ZTau(-4, -2, 0, -1)
-    # tau * tau^4 = tau^5
-    assert multiply(TAU, ZTau(-4, 2, 0, 1), 1) == ZTau(-4, -2, 2, 1)
+    # all 16 products tau^i * tau^j of basis elements, against tau^0..tau^6
+    # reduced by hand with tau^4 = mu*tau^3 + 2*mu*tau - 4
+    for mu in (1, -1):
+        powers = [ZTau(1, 0, 0, 0), ZTau(0, 1, 0, 0), ZTau(0, 0, 1, 0),
+                  ZTau(0, 0, 0, 1), ZTau(-4, 2 * mu, 0, mu),
+                  ZTau(-4 * mu, -2, 2 * mu, 1), ZTau(-4, -2 * mu, -2, 3 * mu)]
+        for i in range(4):
+            for j in range(4):
+                assert multiply(powers[i], powers[j], mu) == powers[i + j], (mu, i, j)
 
 
 def test_multiply_identity():

@@ -5,14 +5,13 @@ from tauadic.expand import expand_gls, expand_tnaf, parse_digit_word
 from tauadic.ring import ZTau, evaluate_expansion
 from tauadic.tables import (CENSUS_SIZE, FixtureError, GLS_TABLE_SIZE,
                             TNAF_TABLE_SIZE, TableFixture, TableRow,
-                            check_census, check_gls_two_expansion_family,
-                            check_tnaf_existence_table, check_tnaf_weight_gap,
+                            check_census, check_tnaf_existence_table,
                             compare_tables, gls_nonuniqueness_census,
                             load_gls_nonuniqueness_fixture,
                             load_tnaf_existence_fixture,
                             reproduce_gls_existence,
                             reproduce_tnaf_existence_table, run_table_checks,
-                            validate_tnaf_fixture, verify_counterexamples)
+                            validate_tnaf_fixture)
 
 
 def test_fixture_sizes_and_consistency():
@@ -143,13 +142,6 @@ def test_census_witnesses_have_two_expansions():
             assert stripped != w.canonical.digits
 
 
-def test_two_expansion_family():
-    for mu in (1, -1):
-        results = check_gls_two_expansion_family(mu)
-        assert len(results) == 7
-        assert all(r.passed for r in results)
-
-
 def test_two_expansion_family_values():
     # both digit words denote b*tau^2 + 2*mu*tau - 1
     for mu in (1, -1):
@@ -162,26 +154,12 @@ def test_two_expansion_family_values():
             assert expand_gls(target, mu).digits == tuple(long)
 
 
-def test_tnaf_weight_gap():
-    for mu in (1, -1):
-        results = check_tnaf_weight_gap(mu)
-        assert len(results) == 16
-        assert all(r.passed for r in results), [r.detail for r in results if not r.passed]
-
-
 def test_tnaf_weight_gap_witness_weights():
     for mu in (1, -1):
         target = ZTau(2, 2 * mu, 0, 0)
         weights = {j: expand_tnaf(target, mu, j).weight for j in range(1, 17)}
         assert set(weights.values()) <= {3, 4}
         assert 3 in weights.values() and 4 in weights.values()
-
-
-def test_verify_counterexamples_report():
-    for mu in (1, -1):
-        report = verify_counterexamples(mu)
-        assert len(report) == 23
-        assert all(r.passed for r in report)
 
 
 def test_fixture_dir_override(tmp_path, monkeypatch):
