@@ -163,7 +163,7 @@ def cmd_census(args: argparse.Namespace) -> int:
     status = 0
     for mu in mus:
         witnesses = tables.gls_nonuniqueness_census(mu)
-        results = tables.check_census(mu)
+        results = tables.check_census(mu, witnesses)
         # machine formats keep stdout parseable; verification goes to stderr
         if args.format == "json":
             print(tables.census_to_json(witnesses))

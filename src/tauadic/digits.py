@@ -19,6 +19,7 @@ set contains exactly one per cell.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -65,6 +66,7 @@ def format_digit(c: Digit) -> str:
 _DIGIT_RE = re.compile(r"^(-?\d+)(?:([+-])(\d+)t)?$")
 
 
+@functools.lru_cache(maxsize=128)  # a fixture repeats a few digit strings
 def parse_digit(text: str) -> Digit:
     m = _DIGIT_RE.match(text.strip())
     if not m:
@@ -133,6 +135,15 @@ class TnafDigitSet:
     def __contains__(self, c: Digit) -> bool:
         return c in self.digits
 
+    @functools.cached_property
+    def cells(self) -> tuple:
+        """The residue table read by tnaf_digit and the recoder: cell
+        4*Rs + Rt holds 0 where 4 | Rs, else the one candidate digit in
+        the set, or None where the set holds none or two."""
+        hits = [[c for c in tnaf_candidates(r_s, r_t, self.mu) if c in self.digits]
+                if r_s % 4 else [ZERO_DIGIT] for r_s in range(8) for r_t in range(4)]
+        return tuple(h[0] if len(h) == 1 else None for h in hits)
+
     def sorted_digits(self) -> list[Digit]:
         return sorted(self.digits)
 
@@ -149,6 +160,7 @@ _BASE_DIGITS = frozenset(
 )
 
 
+@functools.cache
 def build_tnaf_digit_set(j: int, mu: int) -> TnafDigitSet:
     """Digit set number j (1..16): base digits plus one of each +-(2+tau),
     +-(2-tau) and one of each 1+-2*mu*tau, -1+-2*mu*tau, selected by the
@@ -182,13 +194,12 @@ def tnaf_digit(a: ZTau, dset: TnafDigitSet) -> Digit:
     """
     if tau_divides(a):
         raise ElementDivisibleError(f"tau divides {a}; digit 0 is forced")
-    cands = tnaf_candidates(a.s % 8, a.t % 4, dset.mu)
-    hits = [c for c in cands if c in dset.digits]
-    if len(hits) != 1:
+    c = dset.cells[(a.s & 7) << 2 | (a.t & 3)]  # & is mod for negatives too
+    if c is None:
         raise RuntimeError(
-            f"digit set j={dset.j} mu={dset.mu} has {len(hits)} candidates "
+            f"digit set j={dset.j} mu={dset.mu} has no single candidate "
             f"for residues ({a.s % 8}, {a.t % 4}); the set is not usable")
-    return hits[0]
+    return c
 
 
 def _residue_cells() -> list[tuple[int, int]]:
@@ -217,8 +228,4 @@ def validate_digit_set(dset: TnafDigitSet) -> bool:
                 return False
             if abs(x.a - y.a) == 4 and abs(x.b - y.b) == 2:
                 return False
-    for r_s, r_t in _residue_cells():
-        cands = tnaf_candidates(r_s, r_t, dset.mu)
-        if sum(1 for c in cands if c in digits) != 1:
-            return False
-    return True
+    return None not in dset.cells

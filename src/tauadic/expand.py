@@ -14,7 +14,6 @@ human-readable display is the big-endian tuple "(c_{l-1}, ..., c_0)_t".
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from operator import itemgetter
@@ -22,7 +21,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .digits import (Digit, GLS_DIGITS, TnafDigitSet, ZERO_DIGIT,
                      build_tnaf_digit_set, digit_element, format_digit,
-                     gls_digit, parse_digit, tnaf_digit)
+                     gls_digit, parse_digit)
 from .ring import ZTau, ZERO, check_mu, evaluate_expansion, quotient_by_tau
 from .normform import norm_sq
 
@@ -114,19 +113,17 @@ def _iteration_guard(a: ZTau, mu: int) -> int:
 
 # Digit tables of the recoding loop (Solinas' residue-table selection),
 # built from the digit rules so that each rule is written down once.  The
-# 64 GLS cells are indexed 8*(s mod 8) + 2*(t mod 4) + v mod 2, the 32
-# tau-NAF cells of digit set j 4*(s mod 8) + t mod 4; cells with 4 | s hold 0.
+# 64 GLS cells are indexed 8*(s mod 8) + 2*(t mod 4) + v mod 2; the 32
+# tau-NAF cells of digit set j, 4*(s mod 8) + t mod 4, are the set's own
+# table, ``TnafDigitSet.cells``, which tnaf_digit reads too.  Cells with
+# 4 | s hold 0.
 GLS_TABLE = tuple(Digit(gls_digit(r_s, r_t, r_v), 0)
                   for r_s in range(8) for r_t in range(4) for r_v in range(2))
 _GLS_ALPHABET = frozenset(Digit(c, 0) for c in GLS_DIGITS)
 
 
-@functools.cache
 def tnaf_table(mu: int, j: int) -> tuple:
-    dset = build_tnaf_digit_set(j, mu)
-    return tuple(ZERO_DIGIT if r_s % 4 == 0
-                 else tnaf_digit(ZTau(r_s, r_t, 0, 0), dset)
-                 for r_s in range(8) for r_t in range(4))
+    return build_tnaf_digit_set(j, mu).cells
 
 
 def recode_steps(a: ZTau, mu: int, method: str, j: Optional[int] = None) -> Iterator[tuple]:

@@ -213,6 +213,10 @@ def enumerate_short_vectors(mu: int, bound: int, include_zero: bool = False) -> 
 def enumerate_bruteforce_oracle(mu: int, bound: int, box: int) -> ShortVectorSet:
     """Independent oracle: exhaustive scan of the coefficient box |c_j| <= box.
 
+    Scans the (t, u, v) lines of the box.  On a line, norm_sq is the
+    quadratic 2s^2 + b*s + c in s, so only the s of its real interval
+    where that is <= bound, widened by one on each side, are tested, each
+    by norm_sq itself.  Uses none of the enumerator's LDL tables.
     Raises BoxTooSmallError if any qualifying vector touches the box
     boundary, since the scan would then be incomplete.
     """
@@ -221,10 +225,16 @@ def enumerate_bruteforce_oracle(mu: int, bound: int, box: int) -> ShortVectorSet
         raise ValueError(f"box must be >= 1, got {box}")
     rng = range(-box, box + 1)
     shells: defaultdict[int, list[int]] = defaultdict(list)
-    for s in rng:
-        for t in rng:
-            for u in rng:
-                for v in rng:
+    for t in rng:
+        for u in rng:
+            for v in rng:
+                b = mu * t + u + 7 * mu * v
+                disc = b * b - 8 * (norm_sq((0, t, u, v), mu) - bound)
+                if disc < 0:
+                    continue
+                r = isqrt(disc)
+                for s in range(max(-box, (-b - r) // 4 - 1),
+                               min(box, (-b + r) // 4 + 1) + 1):
                     n = norm_sq((s, t, u, v), mu)
                     if n <= bound:
                         if n == 0:

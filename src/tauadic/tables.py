@@ -233,9 +233,9 @@ def load_gls_nonuniqueness_fixture(mu: int) -> list[tuple]:
     return _parse_fixture(name, dict.fromkeys(("c3", "c2", "c1", "c0"), int))
 
 
-def check_census(mu: int) -> list[CheckResult]:
-    """Census size and word-set equality with the embedded fixture."""
-    witnesses = gls_nonuniqueness_census(mu)
+def check_census(mu: int, witnesses: list[NonUniquenessWitness]) -> list[CheckResult]:
+    """Census size and word-set equality with the embedded fixture, for the
+    witnesses gls_nonuniqueness_census(mu) returned."""
     words = {w.word for w in witnesses}
     fixture = set(load_gls_nonuniqueness_fixture(mu))
     results = [

@@ -230,6 +230,19 @@ def test_census_passes(capsys):
     assert "[PASS] census-words-mu=+1" in out
 
 
+def test_census_runs_the_census_once_per_mu(capsys, monkeypatch):
+    calls = []
+    census = tauadic.tables.gls_nonuniqueness_census
+
+    def counting(mu):
+        calls.append(mu)
+        return census(mu)
+    monkeypatch.setattr(tauadic.tables, "gls_nonuniqueness_census", counting)
+    status, _, _ = run(capsys, "census")
+    assert status == 0
+    assert calls == [1, -1]
+
+
 def test_census_csv_output(capsys):
     status, out, err = run(capsys, "census", "--mu", "-1", "--format", "csv")
     assert status == 0
@@ -261,6 +274,23 @@ def test_check_deterministic_output(capsys):
     _, second, _ = run(capsys, "check", "--suite", "norm", "--seed", "3",
                        "--scale", "quick")
     assert first == second
+
+
+def test_check_reports_a_failed_factorization(capsys, monkeypatch):
+    # an indefinite form fails the checks that need its LDL factors
+    indefinite = ((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    monkeypatch.setattr(tauadic.normform, "gram_matrix", lambda mu: indefinite)
+    tauadic.normform._ldl_factors.cache_clear()
+    try:
+        status, out, err = run(capsys, "check", "--suite", "norm", "--scale", "quick")
+    finally:
+        tauadic.normform._ldl_factors.cache_clear()
+    assert status == 1
+    assert err == ""
+    failed = {line.split()[1] for line in out.splitlines() if line.startswith("[FAIL]")}
+    assert failed == {"ldl-pivots-positive-mu=+1", "ldl-pivots-positive-mu=-1",
+                      "ldl-reconstructs-form", "enumeration-matches-bruteforce-mu=+1",
+                      "enumeration-matches-bruteforce-mu=-1"}
 
 
 def test_closed_stdout_exits_0():

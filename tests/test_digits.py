@@ -3,7 +3,8 @@ import json
 import pytest
 
 from tauadic.digits import (Digit, ElementDivisibleError, InvalidResidueError,
-                            TnafDigitSet, ZERO_DIGIT, all_tnaf_digit_sets,
+                            TnafDigitSet, ZERO_DIGIT, _residue_cells,
+                            all_tnaf_digit_sets,
                             build_tnaf_digit_set, digit_element, format_digit,
                             gls_digit, parse_digit, tnaf_candidates,
                             tnaf_digit, validate_digit_set)
@@ -183,6 +184,21 @@ def test_tnaf_digit_raises_on_unusable_set():
     crippled = TnafDigitSet(j=0, mu=1, digits=frozenset(base))
     with pytest.raises(RuntimeError):
         tnaf_digit(ZTau(2, 1, 0, 0), crippled)
+    # set 1 holds 2+tau; with -2-tau too, some cells have two candidates
+    crowded = TnafDigitSet(j=0, mu=1, digits=build_tnaf_digit_set(1, 1).digits | {D(-2, -1)})
+    for dset, kinds in ((crippled, {0, 1}), (crowded, {1, 2})):
+        # a cell gives its digit when the set holds exactly one candidate
+        counts = set()
+        for r_s, r_t in _residue_cells():
+            hits = [c for c in tnaf_candidates(r_s, r_t, 1) if c in dset]
+            counts.add(len(hits))
+            a = ZTau(r_s - 8, r_t, 0, 0)
+            if len(hits) == 1:
+                assert tnaf_digit(a, dset) == hits[0]
+            else:
+                with pytest.raises(RuntimeError):
+                    tnaf_digit(a, dset)
+        assert counts == kinds
 
 
 def test_validate_digit_set():

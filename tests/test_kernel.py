@@ -63,19 +63,21 @@ def test_gls_table_cells_follow_gls_digit():
 
 @pytest.mark.parametrize("mu,j", SETS)
 def test_tnaf_table_cells_follow_tnaf_digit(mu, j):
+    # the recoder and tnaf_digit read one table; each of its 24 nonzero
+    # cells is the one candidate of tnaf_candidates that the set holds
     dset = build_tnaf_digit_set(j, mu)
     table = tnaf_table(mu, j)
+    assert table is dset.cells
     assert len(table) == 32
-    assert len(table) - table.count(ZERO_DIGIT) == 24
     for r_s in range(8):
         for r_t in range(4):
             cell = table[4 * r_s + r_t]
             if r_s % 4 == 0:
                 assert cell == ZERO_DIGIT
-            else:
-                assert cell == tnaf_digit(ZTau(r_s, r_t, 0, 0), dset)
-                assert cell in tnaf_candidates(r_s, r_t, mu)
-                assert cell in dset
+                continue
+            assert [cell] == [c for c in tnaf_candidates(r_s, r_t, mu) if c in dset]
+            for k in (-2, -1, 0, 1, 2):  # elements of the cell of either sign
+                assert tnaf_digit(ZTau(r_s + 8 * k, r_t + 4 * k, k, -k), dset) == cell
 
 
 @pytest.mark.parametrize("mu,j", SETS)

@@ -260,6 +260,41 @@ def test_norm_matches_root_embedding():
             assert abs(embedded - q) <= 1e-9 * max(1.0, q)
 
 
+def _box_scan(mu, box):
+    """Reference for the line-scan oracle: norm_sq of every point of
+    |c_j| <= box.  Returns the least nonzero norm on the box edge and the
+    interior points of each nonzero norm, in scan order."""
+    rng = range(-box, box + 1)
+    edge_min, shells = None, {}
+    for s in rng:
+        for t in rng:
+            for u in rng:
+                for v in rng:
+                    n = norm_sq((s, t, u, v), mu)
+                    if n and box in (abs(s), abs(t), abs(u), abs(v)):
+                        edge_min = n if edge_min is None else min(edge_min, n)
+                    elif n:
+                        shells.setdefault(n, []).extend((s, t, u, v))
+    return edge_min, shells
+
+
+@pytest.mark.parametrize("mu", [1, -1])
+def test_line_scan_oracle_matches_box_scan(mu):
+    # raises exactly when a qualifying point lies on the box edge, and
+    # finds the box scan's set otherwise; box 8, the property suite's,
+    # leaves bounds up to 59
+    for box in range(1, 9):
+        edge_min, shells = _box_scan(mu, box)
+        for bound in range(61):
+            if edge_min <= bound:
+                with pytest.raises(BoxTooSmallError):
+                    enumerate_bruteforce_oracle(mu, bound, box)
+                continue
+            want = normform._shell_set(mu, bound, {n: list(c) for n, c in shells.items()
+                                                   if n <= bound})
+            assert enumerate_bruteforce_oracle(mu, bound, box) == want, (box, bound)
+
+
 def test_bruteforce_box_guard():
     with pytest.raises(BoxTooSmallError):
         enumerate_bruteforce_oracle(1, 2, 1)

@@ -120,7 +120,7 @@ def test_census_counts_and_fixture_match():
         assert len(words) == CENSUS_SIZE
         assert len({w.element for w in witnesses}) == CENSUS_SIZE
         assert words == set(load_gls_nonuniqueness_fixture(mu))
-        assert all(r.passed for r in check_census(mu))
+        assert all(r.passed for r in check_census(mu, witnesses))
 
 
 def test_census_contains_reference_words():
