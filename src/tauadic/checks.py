@@ -147,7 +147,8 @@ def norm_suite(seed: int, scale: str = "full") -> list[CheckResult]:
     rng = random.Random(seed)
     results = []
 
-    # the integer tables (m, w, n) that enumerate_short_vectors runs on
+    # the integer tables (m, w, n) that enumerate_short_vectors runs on,
+    # read in its level order: y_i = sum_{j<=i} n[i][j] * x_j, s first
     factors = {}
     for mu in (1, -1):
         try:
@@ -163,7 +164,7 @@ def norm_suite(seed: int, scale: str = "full") -> list[CheckResult]:
         if mu not in factors:  # the factorization failed
             return False
         m, w, n = factors[mu]
-        total = sum(w[i] * sum(n[i][j] * x[j] for j in range(i, 4)) ** 2
+        total = sum(w[i] * sum(n[i][j] * x[j] for j in range(i + 1)) ** 2
                     for i in range(4))
         return total == m * norm_sq(x, mu)
     results.append(_counted(

@@ -3,7 +3,9 @@
 Commands
 --------
 expand     recode one element (GLS or tau-NAF) and print the digit string
-enumerate  list all elements with squared norm below a bound
+enumerate  list all elements with squared norm below a bound; refuses (status
+           2) before any work when the predicted count B*B*2053 // 10000
+           (pi^2 B^2 / (2 sqrt 578)) exceeds MAX_COUNT, 5,000,000
 tables     reproduce the existence tables and compare with the fixtures
 census     recompute the GLS non-uniqueness census and compare with fixtures
 check      run a seeded randomized property suite
@@ -30,6 +32,7 @@ from .ring import format_element, mu_from_curve_coeff, parse_element
 USAGE_ERROR = 2
 FIXTURE_ERROR = 3
 INTERNAL_ERROR = 4
+MAX_COUNT = 5_000_000
 
 
 class UsageError(ValueError):
@@ -126,15 +129,17 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     mu = _resolve_mu(args)
     if args.bound < 0:
         raise UsageError("--bound must be >= 0")
+    predicted = args.bound * args.bound * 2053 // 10000
+    if predicted > MAX_COUNT:
+        raise UsageError(f"--bound {args.bound} would list about {predicted:,} elements, "
+                         f"more than the cap of {MAX_COUNT:,}")
     found = enumerate_short_vectors(mu, args.bound, include_zero=args.include_zero)
     if args.format == "json":
         print(found.to_json())
     elif args.format == "csv":
         sys.stdout.write(found.to_csv())
     else:
-        for element, n in found.elements:
-            print(f"{format_element(element)}  norm_sq={n}")
-        print(f"total: {len(found)}")
+        sys.stdout.write(found.to_text())
     return 0
 
 

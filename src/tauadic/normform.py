@@ -13,20 +13,20 @@ the (k-j)-th power sum of the polynomial's roots (p1 = mu, p2 = 1,
 p3 = 7mu by Newton's identities).  Enumeration below a bound uses the
 exact LDL factorization of the form, scaled once per mu to integer tables,
 so the enumeration loop does integer arithmetic only: no Fraction and no
-floating point.
+floating point.  Its levels run from s (outermost) down to v, so every norm
+shell fills in increasing (s, t, u, v) order and no shell is sorted.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import isqrt, lcm
 
-from .ring import ZTau, check_mu
+from .ring import ELEMENT_FORMAT, ZTau, check_mu
 
 DIM = 4
 
@@ -64,13 +64,16 @@ def gram_matrix(mu: int) -> tuple:
 def _ldl_factors(mu: int) -> tuple:
     """Integer-scaled LDL factors (m, w, n) of gram_matrix(mu), built once
     per mu, with m * norm_sq(x) = sum_i w[i] * y_i^2 and
-    y_i = sum_{j>=i} n[i][j] * x_j.
+    y_i = sum_{j<=i} n[i][j] * x_j.
 
+    The Gram matrix is factored with its coordinates reversed, so n is lower
+    triangular and the levels run from s (y_0 = n[0][0] * s) down to v.
     Row i of the rational factor l is scaled by its common denominator
     n[i][i], and m is the common denominator of the d[i] / n[i][i]^2.
     Raises NotPositiveDefiniteError on first use if the form is not definite.
     """
-    l, d = ldl_decompose(gram_matrix(mu))
+    l, d = ldl_decompose([row[::-1] for row in gram_matrix(mu)[::-1]])
+    l, d = [row[::-1] for row in l[::-1]], d[::-1]
     scales = [functools.reduce(lcm, (x.denominator for x in row)) for row in l]
     pivots = [d[i] / (scales[i] * scales[i]) for i in range(DIM)]
     m = functools.reduce(lcm, (p.denominator for p in pivots))
@@ -118,10 +121,13 @@ class ShortVectorSet:
     Kept as norm shells: ``shells`` holds one (norm_sq, coords) pair per
     norm, in increasing order, where coords lists s, t, u, v of each
     element of the shell in turn, elements in increasing (s, t, u, v)
-    order.  At bound 1000 that is about 44 bytes an element (four list
-    slots, and an int object for each coordinate outside the interpreter's
-    shared small ints) instead of about 160 for a ZTau with its
-    (ZTau, norm_sq) pair; ``elements`` builds those pairs on every access.
+    order.  The enumerator's loops, s outermost, fill each shell in that
+    order, so it sorts no shell; the oracle sorts its shells in _shell_set.
+    At bound 1000 that is about 44 bytes an element (four list slots, and
+    an int object for each coordinate outside the interpreter's shared
+    small ints) instead of about 160 for a ZTau with its (ZTau, norm_sq)
+    pair; ``elements`` builds those pairs on every access.  The text, CSV
+    and JSON forms are written from the shells, one % format per shell.
     """
 
     mu: int
@@ -139,18 +145,27 @@ class ShortVectorSet:
     def element_set(self) -> frozenset:
         return frozenset(ZTau(*c) for _, coords in self.shells for c in _quads(coords))
 
+    def _rows(self, head: str, mid: str, tail: str, sep: str = "") -> list:
+        """One string per shell: each element as head, its canonical text
+        form (ELEMENT_FORMAT), mid, its norm_sq and tail, joined by sep.
+        One format string per shell, so the rows are built in C."""
+        return [sep.join([f"{head}{ELEMENT_FORMAT}{mid}{q}{tail}"] * (len(coords) // DIM))
+                % coords for q, coords in self.shells]
+
+    # Each form is one join: concatenating a header or a bracket would copy
+    # the whole text once more (about 3 MiB more peak RSS at bound 1000).
+    def to_text(self) -> str:
+        return "".join([*self._rows("", "  norm_sq=", "\n"), f"total: {len(self)}\n"])
+
     def to_csv(self) -> str:
-        # one string per shell, so the rows of a single shell are the only
-        # per-row objects alive at a time
-        chunks = ["s,t,u,v,norm_sq\n"]
-        chunks += ["".join(f"{s},{t},{u},{v},{q}\n" for s, t, u, v in _quads(coords))
-                   for q, coords in self.shells]
-        return "".join(chunks)
+        return "".join(["s,t,u,v,norm_sq\n", *self._rows("", ",", "\n")])
 
     def to_json(self) -> str:
-        obj = [{"element": list(c), "norm_sq": q}
-               for q, coords in self.shells for c in _quads(coords)]
-        return json.dumps(obj, separators=(",", ":"))
+        """The bytes of json.dumps of the {"element", "norm_sq"} list with
+        separators (",", ":")."""
+        parts = [p for row in self._rows('{"element":[', '],"norm_sq":', "}", ",")
+                 for p in (",", row)]
+        return "".join(["[", *parts[1:], "]"])
 
 
 def _shell_set(mu: int, bound: int, shells: dict) -> ShortVectorSet:
@@ -173,41 +188,42 @@ def enumerate_short_vectors(mu: int, bound: int, include_zero: bool = False) -> 
     """All elements with norm_sq <= bound, by exact integer enumeration
     (Fincke-Pohst).
 
-    Levels run from the v coordinate down to s.  Level k keeps the integer
-    budget r = m * bound minus the w[i] * y_i^2 of the levels above it, and
-    its range of x_k solves w[k] * y_k^2 <= r.  The coordinates are
-    collected into one flat list of ints per norm, so that sorting each
-    shell gives the (norm_sq, s, t, u, v) order; no per-element object
-    outlives the loop.
+    Levels run from the s coordinate (outermost) down to v.  Level k keeps
+    the integer budget r = m * bound minus the w[i] * y_i^2 of the levels
+    above it, and its range of x_k solves w[k] * y_k^2 <= r.  The
+    coordinates are collected into one flat list of ints per norm, and the
+    loop order fills each list in increasing (s, t, u, v) order, so only
+    the norm keys are sorted; no per-element object outlives the loop.
     """
     check_mu(mu)
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     m, (w0, w1, w2, w3), n = _ldl_factors(mu)
-    (n00, n01, n02, n03), (_, n11, n12, n13), (_, _, n22, n23), (_, _, _, n33) = n
+    (n00, _, _, _), (n10, n11, _, _), (n20, n21, n22, _), (n30, n31, n32, n33) = n
     shells: defaultdict[int, list[int]] = defaultdict(list)
-    # Plain nested loops, one per level from v down to s: a recursive inner
+    # Plain nested loops, one per level from s down to v: a recursive inner
     # function would sit in a reference cycle with its closure and keep the
     # shells alive after the call until the garbage collector next runs.
     # At each level y = n_kk * x + c with c fixed by the levels above, and r
     # is the budget those levels leave.
-    r3 = m * bound
-    for v in _level_xs(w3, n33, 0, r3):
-        r2 = r3 - w3 * (n33 * v) ** 2
-        c2 = n23 * v
-        for u in _level_xs(w2, n22, c2, r2):
-            r1 = r2 - w2 * (n22 * u + c2) ** 2
-            c1 = n12 * u + n13 * v
-            for t in _level_xs(w1, n11, c1, r1):
-                r0 = r1 - w1 * (n11 * t + c1) ** 2
-                c0 = n01 * t + n02 * u + n03 * v
-                for s in _level_xs(w0, n00, c0, r0):
-                    y = n00 * s + c0
+    r0 = m * bound
+    for s in _level_xs(w0, n00, 0, r0):
+        r1 = r0 - w0 * (n00 * s) ** 2
+        c1 = n10 * s
+        for t in _level_xs(w1, n11, c1, r1):
+            r2 = r1 - w1 * (n11 * t + c1) ** 2
+            c2 = n20 * s + n21 * t
+            for u in _level_xs(w2, n22, c2, r2):
+                r3 = r2 - w2 * (n22 * u + c2) ** 2
+                c3 = n30 * s + n31 * t + n32 * u
+                for v in _level_xs(w3, n33, c3, r3):
+                    y = n33 * v + c3
                     # the budget left is m * (bound - norm_sq), exactly
-                    shells[bound - (r0 - w0 * y * y) // m].extend((s, t, u, v))
+                    shells[bound - (r3 - w3 * y * y) // m].extend((s, t, u, v))
     if not include_zero:
         shells.pop(0, None)
-    return _shell_set(mu, bound, shells)
+    return ShortVectorSet(mu=mu, bound=bound,
+                          shells=tuple((q, tuple(shells.pop(q))) for q in sorted(shells)))
 
 
 def enumerate_bruteforce_oracle(mu: int, bound: int, box: int) -> ShortVectorSet:

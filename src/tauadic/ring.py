@@ -127,9 +127,12 @@ def evaluate_expansion(digits: Iterable[tuple[int, int]], mu: int) -> ZTau:
     return ZTau(s, t, u, v)
 
 
+ELEMENT_FORMAT = "%d,%d,%d,%d"  # s,t,u,v: the canonical text form
+
+
 def format_element(a: ZTau) -> str:
     """Canonical text form: four signed decimal integers, comma separated."""
-    return f"{a.s},{a.t},{a.u},{a.v}"
+    return ELEMENT_FORMAT % a
 
 
 def parse_element(text: str) -> ZTau:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import tauadic
+from tauadic import cli
 from tauadic.cli import main
 
 
@@ -201,6 +203,60 @@ def test_enumerate_include_zero(capsys):
     assert status == 0
     assert out.splitlines()[-1] == "total: 3"
     assert "0,0,0,0  norm_sq=0" in out
+
+
+# SHA-256 of `enumerate --bound 200` stdout, recorded with the per-row
+# formatting that the one-format-per-shell writers replaced
+ENUMERATE_200_SHA256 = {
+    ("1", "text", False): "a705ea9df132aef0a4b1513b2e97e67a56da11bf1f5de9f7bad3cffb81817859",
+    ("1", "text", True): "538d83d0a04e01f75cd9875b22546283f18971ab83824d8c19a88cc929431b80",
+    ("1", "csv", False): "87fd6f021e323892d29d39acdd4caffcda81ba311bf590f0f30d04a0f55bd992",
+    ("1", "csv", True): "0a32e141363460d1d318167b68b87da17730ec9eb21ebf5dc9c0e7db1e7a3027",
+    ("1", "json", False): "0461b092c0e06f36f0a84795bd0735f7e1634216f132c97984e20cb4c21fa894",
+    ("1", "json", True): "fa9f4cee424366ff300b4eab9afd95e5ddfff169bde19bf02e167c25dbc1e70e",
+    ("-1", "text", False): "268f917c235707a1c7b3acaa9c8040a67614d0a4412a81cb0dd207496743e2d6",
+    ("-1", "text", True): "c380b4e122de8f6c4480ab3806edc1264a213b84f5856ea42ac8f77ba7a40ac1",
+    ("-1", "csv", False): "51b4500a470b561504284911215f0ebc3f83f813872d9a7e1fd14c33e6dd4d90",
+    ("-1", "csv", True): "557d90ead53730b79232e73697093b6e928491830eb40a0a1ec7739b597c7207",
+    ("-1", "json", False): "0e817091d99045896e07b3628d12e0492ee27c8e563ccbbb5e1119944d1a3254",
+    ("-1", "json", True): "6ac0a4abec0e4c8a838e6cb635e25a54794d507ab2bf637b91de787de1776a71",
+}
+
+
+@pytest.mark.parametrize("mu,fmt,include_zero", sorted(ENUMERATE_200_SHA256))
+def test_enumerate_output_bytes_are_pinned(capsys, mu, fmt, include_zero):
+    status, out, err = run(capsys, "enumerate", "--mu", mu, "--bound", "200",
+                           "--format", fmt, *(("--include-zero",) * include_zero))
+    assert (status, err) == (0, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == ENUMERATE_200_SHA256[mu, fmt, include_zero]
+
+
+def test_enumerate_refuses_a_huge_bound_before_any_work(capsys, monkeypatch):
+    # about 2 * 10^15 elements: refused from the count law, not enumerated
+    src = Path(tauadic.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-m", "tauadic.cli", "enumerate", "--mu", "1",
+                           "--bound", "100000000"],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "2,053,000,000,000,000" in done.stderr
+    assert "Traceback" not in done.stderr
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated past the cap")
+
+    # bound 20 predicts 20*20*2053 // 10000 = 82 and lists 94
+    monkeypatch.setattr(cli, "enumerate_short_vectors", no_enumeration)
+    monkeypatch.setattr(cli, "MAX_COUNT", 81)
+    status, out, err = run(capsys, "enumerate", "--mu", "1", "--bound", "20")
+    assert (status, out) == (2, "")
+    assert "about 82 elements, more than the cap of 81" in err
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "MAX_COUNT", 82)
+    status, out, err = run(capsys, "enumerate", "--mu", "1", "--bound", "20", "--format", "csv")
+    assert (status, err) == (0, "")
+    assert len(out.splitlines()) == 1 + 94
 
 
 def test_tables_single_digit_set(capsys):

@@ -86,7 +86,10 @@ def test_enumeration_factors_once_per_mu(monkeypatch):
                 enumerate_short_vectors(mu, bound)
     finally:
         normform._ldl_factors.cache_clear()
-    assert factored == [gram_matrix(1), gram_matrix(-1)]
+    # one factorization per mu, of the Gram matrix with its coordinates
+    # reversed (v, u, t, s), so that the enumeration's top level is s
+    assert [[list(row) for row in f] for f in factored] == [
+        [list(row[::-1]) for row in gram_matrix(mu)[::-1]] for mu in (1, -1)]
 
 
 def test_enumeration_rejects_indefinite_form(monkeypatch):
@@ -116,10 +119,11 @@ def test_integer_tables_reconstruct_scaled_form():
     for mu in (1, -1):
         m, w, n = normform._ldl_factors(mu)
         assert all(type(x) is int for x in (m, *w, *(c for row in n for c in row)))
-        assert all(n[i][j] == 0 for i in range(4) for j in range(i))
+        # level order, s first: y_i = sum_{j<=i} n[i][j] * x_j
+        assert all(n[i][j] == 0 for i in range(4) for j in range(i + 1, 4))
         for _ in range(500):
             x = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(4)]
-            y = [sum(n[i][j] * x[j] for j in range(i, 4)) for i in range(4)]
+            y = [sum(n[i][j] * x[j] for j in range(i + 1)) for i in range(4)]
             assert sum(wi * yi * yi for wi, yi in zip(w, y)) == m * norm_sq(x, mu)
 
 
@@ -187,6 +191,23 @@ def test_short_vector_set_views_agree():
                 {"element": list(e), "norm_sq": q} for e, q in pairs]
         # the oracle's shells are built by the same code path from scan order
         assert enumerate_bruteforce_oracle(mu, 50, 8) == enumerate_short_vectors(mu, 50)
+
+
+def test_shell_writers_match_per_row_rendering():
+    # the one-format-per-shell writers give the bytes of a row-by-row
+    # rendering, down to the empty set at bound 0
+    for mu in (1, -1):
+        for bound in (0, 2, 38):
+            for include_zero in (False, True):
+                found = enumerate_short_vectors(mu, bound, include_zero)
+                pairs = found.elements
+                assert found.to_json() == json.dumps(
+                    [{"element": list(e), "norm_sq": q} for e, q in pairs],
+                    separators=(",", ":"))
+                assert found.to_text() == "".join(
+                    f"{e.s},{e.t},{e.u},{e.v}  norm_sq={q}\n" for e, q in pairs
+                ) + f"total: {len(pairs)}\n"
+    assert enumerate_short_vectors(1, 0).to_json() == "[]"
 
 
 def test_enumeration_leaves_no_cyclic_garbage():
