@@ -6,7 +6,7 @@ form, short-element enumeration, and reproduction of the reference tables.
 from .ring import (ZTau, ZERO, ONE, TAU, NotDivisibleError, multiply,
                    tau_divides, tau_sq_divides, quotient_by_tau,
                    evaluate_expansion, format_element, parse_element,
-                   mu_from_curve_coeff, curve_coeff_from_mu, check_mu)
+                   mu_from_curve_coeff, check_mu)
 from .digits import (Digit, ZERO_DIGIT, TnafDigitSet, InvalidResidueError,
                      ElementDivisibleError, GLS_DIGITS, gls_digit,
                      tnaf_candidates, build_tnaf_digit_set, tnaf_digit,

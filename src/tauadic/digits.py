@@ -20,7 +20,6 @@ set contains exactly one per cell.
 from __future__ import annotations
 
 import functools
-import json
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -146,11 +145,6 @@ class TnafDigitSet:
 
     def sorted_digits(self) -> list[Digit]:
         return sorted(self.digits)
-
-    def to_json(self) -> str:
-        obj = {"j": self.j, "mu": self.mu,
-               "digits": [[c.a, c.b] for c in self.sorted_digits()]}
-        return json.dumps(obj, separators=(",", ":"))
 
 
 # The 9 digits shared by every tau-NAF alphabet.

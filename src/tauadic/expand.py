@@ -122,10 +122,6 @@ GLS_TABLE = tuple(Digit(gls_digit(r_s, r_t, r_v), 0)
 _GLS_ALPHABET = frozenset(Digit(c, 0) for c in GLS_DIGITS)
 
 
-def tnaf_table(mu: int, j: int) -> tuple:
-    return build_tnaf_digit_set(j, mu).cells
-
-
 def recode_steps(a: ZTau, mu: int, method: str, j: Optional[int] = None) -> Iterator[tuple]:
     """The one recoding loop, GLS or tau-NAF over digit set j: yields
     (s, t, u, v, c), the state and the digit of its table cell, then moves
@@ -136,7 +132,7 @@ def recode_steps(a: ZTau, mu: int, method: str, j: Optional[int] = None) -> Iter
     elif method == TNAF:
         if j is None:
             raise ValueError("tau-NAF recoding needs a digit set index")
-        table, v_bit = tnaf_table(mu, j), 0
+        table, v_bit = build_tnaf_digit_set(j, mu).cells, 0
     else:
         raise ValueError(f"unknown method {method!r}")
     s, t, u, v = a

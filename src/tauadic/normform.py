@@ -10,11 +10,12 @@ norm on coefficient vectors whose square is the integer form
 
 The diagonal is 2^(j+1); the cross coefficient of c_j*c_k is 2^j times
 the (k-j)-th power sum of the polynomial's roots (p1 = mu, p2 = 1,
-p3 = 7mu by Newton's identities).  Enumeration below a bound uses the
-exact LDL factorization of the form, scaled once per mu to integer tables,
-so the enumeration loop does integer arithmetic only: no Fraction and no
-floating point.  Its levels run from s (outermost) down to v, so every norm
-shell fills in increasing (s, t, u, v) order and no shell is sorted.
+p3 = 7mu by Newton's identities).  Enumeration below a bound runs on
+integer tables from a fraction-free (Bareiss) LDL factorization of the
+form's integer polar matrix, so the factorization and the enumeration loop
+do integer arithmetic only.  Its levels run from s (outermost) down to v,
+so every norm shell fills in increasing (s, t, u, v) order and no shell is
+sorted.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from __future__ import annotations
 import functools
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
-from math import isqrt, lcm
+from math import gcd, isqrt, prod
 
 from .ring import ELEMENT_FORMAT, ZTau, check_mu
 
@@ -50,61 +50,54 @@ def norm_sq(a: ZTau, mu: int) -> int:
 
 @functools.cache
 def gram_matrix(mu: int) -> tuple:
-    """Symmetric Fraction matrix A with norm_sq(x) = x^T A x, derived from
-    norm_sq by polarization (the off-diagonal entries are halves)."""
+    """Integer polar matrix G of norm_sq, G[j][k] = Q(e_j + e_k) - Q(e_j) - Q(e_k),
+    so x^T G x = 2 * norm_sq(x); its diagonal is 4, 8, 16, 32."""
     unit = [[int(i == j) for i in range(DIM)] for j in range(DIM)]
     q = [norm_sq(e, mu) for e in unit]
-    # (Q(e_j + e_k) - Q(e_j) - Q(e_k)) / 2, which is Q(e_j) when j == k
-    return tuple(tuple(Fraction(norm_sq([x + y for x, y in zip(unit[j], unit[k])], mu)
-                                - q[j] - q[k], 2)
+    return tuple(tuple(norm_sq([x + y for x, y in zip(unit[j], unit[k])], mu) - q[j] - q[k]
                        for k in range(DIM)) for j in range(DIM))
 
 
 @functools.cache
 def _ldl_factors(mu: int) -> tuple:
-    """Integer-scaled LDL factors (m, w, n) of gram_matrix(mu), built once
-    per mu, with m * norm_sq(x) = sum_i w[i] * y_i^2 and
-    y_i = sum_{j<=i} n[i][j] * x_j.
+    """Integer tables (m, w, n) of the form, built once per mu, with
+    m * norm_sq(x) = sum_i w[i] * y_i^2 and y_i = sum_{j<=i} n[i][j] * x_j.
 
-    The Gram matrix is factored with its coordinates reversed, so n is lower
-    triangular and the levels run from s (y_0 = n[0][0] * s) down to v.
-    Row i of the rational factor l is scaled by its common denominator
-    n[i][i], and m is the common denominator of the d[i] / n[i][i]^2.
-    Raises NotPositiveDefiniteError on first use if the form is not definite.
+    gram_matrix(mu) is factored with its coordinates reversed and the
+    tables are reversed back, so n is lower triangular and the levels run
+    from s (y_0 = n[0][0] * s) down to v; m is doubled because
+    x^T G x = 2 * norm_sq(x).  Raises NotPositiveDefiniteError on first
+    use if the form is not definite.
     """
-    l, d = ldl_decompose([row[::-1] for row in gram_matrix(mu)[::-1]])
-    l, d = [row[::-1] for row in l[::-1]], d[::-1]
-    scales = [functools.reduce(lcm, (x.denominator for x in row)) for row in l]
-    pivots = [d[i] / (scales[i] * scales[i]) for i in range(DIM)]
-    m = functools.reduce(lcm, (p.denominator for p in pivots))
-    w = tuple(int(m * p) for p in pivots)
-    n = tuple(tuple(int(scales[i] * x) for x in row) for i, row in enumerate(l))
-    return m, w, n
+    m, w, n = ldl_decompose([row[::-1] for row in gram_matrix(mu)[::-1]])
+    return 2 * m, w[::-1], tuple(row[::-1] for row in n[::-1])
 
 
-def ldl_decompose(matrix) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Exact factorization x^T A x = sum_i d_i (x_i + sum_{j>i} l[i][j] x_j)^2
-    of a symmetric rational matrix A.
-
-    Returns (l, d) with l unit upper-triangular row coefficients and d the
-    positive pivots, all Fractions.
-    """
-    a = [[Fraction(x) for x in row] for row in matrix]
-    l = [[Fraction(0)] * DIM for _ in range(DIM)]
-    d = [Fraction(0)] * DIM
-    for i in range(DIM):
-        pivot = a[i][i]
+def ldl_decompose(matrix) -> tuple:
+    """Bareiss's fraction-free LDL factorization of a symmetric integer
+    matrix G: integer (m, w, n) with m * x^T G x = sum_i w[i] * y_i^2 and
+    y_i = sum_{j>=i} n[i][j] * x_j.  Row i of the elimination at step i
+    gives the term (row . x)^2 / (D_i * D_(i+1)) of x^T G x, D_k being the
+    k-th leading minor (D_0 = 1, D_(i+1) the pivot); each row of n, then
+    (m, w), is divided by its gcd, so n[i][i] > 0.  Raises
+    NotPositiveDefiniteError at the first pivot <= 0."""
+    a = [list(row) for row in matrix]
+    n, squares, minors = [], [], [1]
+    for i, row in enumerate(a):
+        pivot = row[i]
         if pivot <= 0:
             raise NotPositiveDefiniteError(f"pivot {i} is {pivot}")
-        d[i] = pivot
-        l[i][i] = Fraction(1)
-        for j in range(i + 1, DIM):
-            l[i][j] = a[i][j] / pivot
-        for j in range(i + 1, DIM):
-            for k in range(j, DIM):
-                a[j][k] -= a[i][j] * a[i][k] / pivot
-                a[k][j] = a[j][k]
-    return l, d
+        g = gcd(*row[i:])
+        n.append((0,) * i + tuple(x // g for x in row[i:]))
+        squares.append(g * g)
+        for r in a[i + 1:]:  # exact: Bareiss divides by the previous pivot
+            r[i + 1:] = [(pivot * x - r[i] * y) // minors[-1]
+                         for x, y in zip(r[i + 1:], row[i + 1:])]
+        minors.append(pivot)
+    m = prod(minors)
+    w = [g2 * m // (d0 * d1) for g2, d0, d1 in zip(squares, minors, minors[1:])]
+    common = gcd(m, *w)
+    return m // common, tuple(x // common for x in w), tuple(n)
 
 
 def _quads(coords: tuple):

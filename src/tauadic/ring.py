@@ -34,10 +34,6 @@ def mu_from_curve_coeff(a: int) -> int:
     return 1 if a == 1 else -1
 
 
-def curve_coeff_from_mu(mu: int) -> int:
-    return (1 + check_mu(mu)) // 2
-
-
 class ZTau(NamedTuple):
     """Ring element s + t*tau + u*tau^2 + v*tau^3 with exact int coefficients."""
 

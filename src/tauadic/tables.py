@@ -185,7 +185,7 @@ def reproduce_gls_existence(mu: int) -> TableFixture:
     for element, n in enumerate_short_vectors(mu, GLS_NORM_BOUND).elements:
         e = expand_gls(element, mu)
         if evaluate_expansion(e.digits, mu) != element:
-            raise FixtureError(f"GLS recoding of {element} does not round-trip")
+            raise AssertionError(f"GLS recoding of {element} does not round-trip")
         rows.append(TableRow(element=element, norm_sq=n,
                              digits=e.digits, length=e.length))
     return TableFixture(id=f"gls-existence-mu={_mu_label(mu)}", rows=tuple(rows))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -164,6 +165,21 @@ def test_internal_errors_exit_4(capsys, monkeypatch, error):
     status, out, err = run(capsys, "tables", "--mu", "1", "--digit-set", "1")
     assert status == 4
     assert err.splitlines() == [f"error: internal error ({error.__name__}): boom"]
+
+
+def test_gls_recoder_bug_exits_4(capsys, monkeypatch):
+    # a GLS recoding that does not round-trip is a bug of the package, not
+    # a fault of the fixture files: one error line, no traceback
+    expand_gls = tauadic.tables.expand_gls
+
+    def drop_top_digit(a, mu):
+        e = expand_gls(a, mu)
+        return dataclasses.replace(e, digits=e.digits[:-1])
+    monkeypatch.setattr(tauadic.tables, "expand_gls", drop_top_digit)
+    status, _, err = run(capsys, "tables", "--mu", "1", "--digit-set", "1")
+    assert status == 4
+    assert err.splitlines() == [
+        "error: internal error (AssertionError): GLS recoding of -1,0,0,0 does not round-trip"]
 
 
 def test_unknown_command_exits_2(capsys):

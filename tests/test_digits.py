@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from tauadic.digits import (Digit, ElementDivisibleError, InvalidResidueError,
@@ -217,12 +215,3 @@ def test_validate_rejects_colliding_pair():
 def test_validate_rejects_incomplete_set():
     base = {D(0), D(1), D(-1), D(2), D(-2), D(1, 1), D(1, -1), D(-1, 1), D(-1, -1)}
     assert not validate_digit_set(TnafDigitSet(j=0, mu=1, digits=frozenset(base)))
-
-
-def test_digit_set_json():
-    dset = build_tnaf_digit_set(7, 1)
-    obj = json.loads(dset.to_json())
-    assert obj["j"] == 7 and obj["mu"] == 1
-    assert obj["digits"] == sorted(obj["digits"])
-    assert len(obj["digits"]) == 13
-    assert [0, 0] in obj["digits"]

@@ -11,8 +11,7 @@ from tauadic import expand
 from tauadic.digits import (Digit, ZERO_DIGIT, build_tnaf_digit_set,
                             gls_digit, tnaf_candidates, tnaf_digit)
 from tauadic.expand import (GLS, TNAF, GLS_TABLE, GuardExceededError,
-                            expand_gls, expand_tnaf, norm_trace, recode_steps,
-                            tnaf_table)
+                            expand_gls, expand_tnaf, norm_trace, recode_steps)
 from tauadic.normform import norm_sq
 from tauadic.ring import (TAU, ZERO, ZTau, evaluate_expansion, multiply,
                           quotient_by_tau, tau_divides)
@@ -66,8 +65,7 @@ def test_tnaf_table_cells_follow_tnaf_digit(mu, j):
     # the recoder and tnaf_digit read one table; each of its 24 nonzero
     # cells is the one candidate of tnaf_candidates that the set holds
     dset = build_tnaf_digit_set(j, mu)
-    table = tnaf_table(mu, j)
-    assert table is dset.cells
+    table = dset.cells
     assert len(table) == 32
     for r_s in range(8):
         for r_t in range(4):

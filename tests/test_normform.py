@@ -1,7 +1,6 @@
 import gc
 import json
 import random
-from fractions import Fraction
 from itertools import permutations
 from math import isqrt, prod
 
@@ -14,24 +13,39 @@ from tauadic.normform import (BoxTooSmallError, NotPositiveDefiniteError,
                               ldl_decompose, norm_sq)
 from tauadic.ring import TAU, ZERO, ZTau, multiply
 
-H = Fraction(1, 2)
+TABLES = {  # _ldl_factors(mu): (m, w, n) in level order, s first
+    1: (13888, (16864, 272, 7, 217),
+        ((1, 0, 0, 0), (1, 14, 0, 0), (1, 14, 124, 0), (7, 2, 4, 32))),
+    -1: (13888, (16864, 272, 7, 217),
+         ((1, 0, 0, 0), (-1, 14, 0, 0), (1, -14, 124, 0), (-7, 2, -4, 32))),
+}
+
+
+def _quadratic(matrix, x) -> int:
+    return sum(row[j] * xi * x[j] for row, xi in zip(matrix, x) for j in range(len(x)))
 
 
 def test_gram_coefficients():
-    assert gram_matrix(1) == ((2, H, H, 7 * H),
-                              (H, 4, 1, 1),
-                              (H, 1, 8, 2),
-                              (7 * H, 1, 2, 16))
-    assert gram_matrix(-1) == ((2, -H, H, -7 * H),
-                               (-H, 4, -1, 1),
-                               (H, -1, 8, -2),
-                               (-7 * H, 1, -2, 16))
-    assert all(type(x) is Fraction for row in gram_matrix(1) for x in row)
+    # the integer polar matrix, x^T G x = 2 * norm_sq(x)
+    assert gram_matrix(1) == ((4, 1, 1, 7),
+                              (1, 8, 2, 2),
+                              (1, 2, 16, 4),
+                              (7, 2, 4, 32))
+    assert gram_matrix(-1) == ((4, -1, 1, -7),
+                               (-1, 8, -2, 2),
+                               (1, -2, 16, -4),
+                               (-7, 2, -4, 32))
+    assert all(type(x) is int for row in gram_matrix(1) for x in row)
+    rng = random.Random(3)
+    for mu in (1, -1):
+        for _ in range(100):
+            x = [rng.randint(-1000, 1000) for _ in range(4)]
+            assert _quadratic(gram_matrix(mu), x) == 2 * norm_sq(x, mu)
 
 
 def test_gram_diagonal_is_mu_independent():
     for k in range(4):
-        assert gram_matrix(1)[k][k] == gram_matrix(-1)[k][k] == 2 ** (k + 1)
+        assert gram_matrix(1)[k][k] == gram_matrix(-1)[k][k] == 2 ** (k + 2)
 
 
 def test_norm_sq_examples():
@@ -52,23 +66,20 @@ def test_norm_invariance():
 
 def test_ldl_identity_for_diagonal_form():
     diagonal = [[2, 0, 0, 0], [0, 4, 0, 0], [0, 0, 8, 0], [0, 0, 0, 16]]
-    l, d = ldl_decompose(diagonal)
-    assert d == [Fraction(2), Fraction(4), Fraction(8), Fraction(16)]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            assert l[i][j] == 0
+    assert ldl_decompose(diagonal) == (
+        1, (2, 4, 8, 16), ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
 
 
 def test_ldl_pivots_positive():
     for mu in (1, -1):
-        _, d = ldl_decompose(gram_matrix(mu))
-        assert all(p > 0 for p in d)
+        m, w, n = ldl_decompose(gram_matrix(mu))
+        assert m > 0 and all(x > 0 for x in w)
+        assert all(n[i][i] > 0 for i in range(4))
 
 
 def test_ldl_rejects_indefinite_form():
-    bad = [[1, Fraction(5, 2), 0, 0], [Fraction(5, 2), 1, 0, 0],
-           [0, 0, 1, 0], [0, 0, 0, 1]]
-    with pytest.raises(NotPositiveDefiniteError):
+    bad = [[2, 5, 0, 0], [5, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]
+    with pytest.raises(NotPositiveDefiniteError, match="pivot 1 is -21"):
         ldl_decompose(bad)
 
 
@@ -103,21 +114,29 @@ def test_enumeration_rejects_indefinite_form(monkeypatch):
         normform._ldl_factors.cache_clear()
 
 
+def _random_definite(rng) -> list:
+    """B^T B + I for a random B with small entries."""
+    b = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
+    return [[sum(r[i] * r[j] for r in b) + (i == j) for j in range(4)] for i in range(4)]
+
+
 def test_ldl_reconstructs_form():
-    for mu in (1, -1):
-        l, d = ldl_decompose(gram_matrix(mu))
+    rng = random.Random(7)
+    matrices = [gram_matrix(1), gram_matrix(-1)] + [_random_definite(rng) for _ in range(50)]
+    for g in matrices:
+        m, w, n = ldl_decompose(g)
+        assert all(type(x) is int for x in (m, *w, *(c for row in n for c in row)))
+        assert all(n[i][j] == 0 for i in range(4) for j in range(i))
         for x in [(1, 0, 0, 0), (1, -2, 3, -4), (7, 7, -7, 7), (0, 5, 0, -5)]:
-            total = Fraction(0)
-            for i in range(4):
-                inner = x[i] + sum(l[i][j] * x[j] for j in range(i + 1, 4))
-                total += d[i] * inner * inner
-            assert total == norm_sq(x, mu)
+            y = [sum(n[i][j] * x[j] for j in range(i, 4)) for i in range(4)]
+            assert sum(wi * yi * yi for wi, yi in zip(w, y)) == m * _quadratic(g, x)
 
 
 def test_integer_tables_reconstruct_scaled_form():
     rng = random.Random(5)
     for mu in (1, -1):
         m, w, n = normform._ldl_factors(mu)
+        assert (m, w, n) == TABLES[mu]
         assert all(type(x) is int for x in (m, *w, *(c for row in n for c in row)))
         # level order, s first: y_i = sum_{j<=i} n[i][j] * x_j
         assert all(n[i][j] == 0 for i in range(4) for j in range(i + 1, 4))
@@ -127,23 +146,24 @@ def test_integer_tables_reconstruct_scaled_form():
             assert sum(wi * yi * yi for wi, yi in zip(w, y)) == m * norm_sq(x, mu)
 
 
-def _det(matrix) -> Fraction:
+def _det(matrix) -> int:
     def sign(p):
         return (-1) ** sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p)))
-    return sum((sign(p) * prod(row[k] for row, k in zip(matrix, p))
-                for p in permutations(range(len(matrix)))), Fraction(0))
+    return sum(sign(p) * prod(row[k] for row, k in zip(matrix, p))
+               for p in permutations(range(len(matrix))))
 
 
 def _line_histogram(mu: int, bound: int) -> dict:
     """{norm: count} over all elements with norm_sq <= bound (zero included),
     solving each (t, u, v) line for s by walking out from the real minimum;
-    the box is |x_j| <= sqrt(bound * (A^-1)_jj) for the Gram matrix A."""
-    a = gram_matrix(mu)
-    det = _det(a)
+    the box is |x_j| <= sqrt(2 * bound * (G^-1)_jj) for the polar matrix G,
+    since x^T G x = 2 * norm_sq(x)."""
+    g = gram_matrix(mu)
+    det = _det(g)
     box = []
     for j in (1, 2, 3):
-        minor = [[a[r][c] for c in range(4) if c != j] for r in range(4) if r != j]
-        box.append(isqrt(int(bound * _det(minor) / det)) + 1)
+        minor = [[g[r][c] for c in range(4) if c != j] for r in range(4) if r != j]
+        box.append(isqrt(2 * bound * _det(minor) // det) + 1)
     hist: dict[int, int] = {}
     for t in range(-box[0], box[0] + 1):
         for u in range(-box[1], box[1] + 1):

@@ -3,10 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tauadic.ring import (NotDivisibleError, ONE, TAU, ZERO, ZTau,
-                          curve_coeff_from_mu, evaluate_expansion,
-                          format_element, multiply, mu_from_curve_coeff,
-                          parse_element, quotient_by_tau, tau_divides,
-                          tau_sq_divides)
+                          evaluate_expansion, format_element, multiply,
+                          mu_from_curve_coeff, parse_element, quotient_by_tau,
+                          tau_divides, tau_sq_divides)
 
 coeffs = st.integers(-10 ** 6, 10 ** 6)
 elements = st.builds(ZTau, coeffs, coeffs, coeffs, coeffs)
@@ -16,8 +15,6 @@ mus = st.sampled_from([1, -1])
 def test_mu_from_curve_coeff():
     assert mu_from_curve_coeff(1) == 1
     assert mu_from_curve_coeff(0) == -1
-    assert curve_coeff_from_mu(1) == 1
-    assert curve_coeff_from_mu(-1) == 0
     with pytest.raises(ValueError):
         mu_from_curve_coeff(2)
 
