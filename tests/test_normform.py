@@ -2,7 +2,7 @@ import gc
 import json
 import random
 from itertools import permutations
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 import pytest
 
@@ -127,6 +127,7 @@ def test_ldl_reconstructs_form():
         m, w, n = ldl_decompose(g)
         assert all(type(x) is int for x in (m, *w, *(c for row in n for c in row)))
         assert all(n[i][j] == 0 for i in range(4) for j in range(i))
+        assert gcd(m, *w) == 1 and all(gcd(*row) == 1 for row in n)
         for x in [(1, 0, 0, 0), (1, -2, 3, -4), (7, 7, -7, 7), (0, 5, 0, -5)]:
             y = [sum(n[i][j] * x[j] for j in range(i, 4)) for i in range(4)]
             assert sum(wi * yi * yi for wi, yi in zip(w, y)) == m * _quadratic(g, x)
