@@ -4,17 +4,17 @@ Two digit alphabets are used by the recoders:
 
 * the GLS alphabet, the integers {-3, ..., 3}, chosen per position by a
   residue rule on (s mod 8, t mod 4, v mod 2);
-* sixteen 13-element tau-NAF alphabets of digits c' + c''*tau with
-  -2 <= c', c'' <= 2 and (|c'|, |c''|) != (2, 2), indexed j = 1..16.
+* sixteen 13-element tau-NAF alphabets drawn from TNAF_BOX, the digits
+  c' + c''*tau with -2 <= c', c'' <= 2 and (|c'|, |c''|) != (2, 2),
+  indexed j = 1..16.
 
-A tau-NAF digit c for alpha = s + t*tau + ... must satisfy two congruences
-so that alpha - c is divisible by tau^2:
-
-    4 | (Rs - c')           where Rs = s mod 8,
-    4 | (Rt - c'' + 2*mu*(Rs - c')/4)    where Rt = t mod 4.
-
-Each residue cell (Rs, Rt) admits one or two such digits; a usable digit
-set contains exactly one per cell.
+The tau-NAF rules are the ring's two divisibility tests.  The candidates
+for an element alpha that tau does not divide are the box digits c with
+tau^2 | (alpha - c) (``ring.tau_sq_divides``): one or two for each residue
+cell (s mod 8, t mod 4).  A digit set is usable, with exactly one tau-NAF
+word for each element, iff its digits lie in the box, tau divides none of
+its nonzero digits (``ring.tau_divides``), and each residue cell has
+exactly one candidate in the set.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .ring import ZTau, check_mu, tau_divides
+from .ring import ZTau, check_mu, tau_divides, tau_sq_divides
 
 
 class InvalidResidueError(ValueError):
@@ -47,6 +47,10 @@ class Digit(NamedTuple):
 
 
 ZERO_DIGIT = Digit(0, 0)
+
+# The coefficient box of the tau-NAF digits, in (a, b) order.
+TNAF_BOX = tuple(Digit(a, b) for a in range(-2, 3) for b in range(-2, 3)
+                 if (abs(a), abs(b)) != (2, 2))
 
 
 def digit_element(c: Digit) -> ZTau:
@@ -100,27 +104,17 @@ def gls_digit(s_mod8: int, t_mod4: int, v_mod2: int) -> int:
     return c
 
 
+@functools.cache  # 48 valid inputs, read by the table of every digit set
 def tnaf_candidates(r_s: int, r_t: int, mu: int) -> tuple[Digit, ...]:
-    """All digits c with tau^2 | (alpha - c) for elements with these residues.
-
-    Returns one or two digits, sorted by (a, b).
-    """
+    """The digits c of TNAF_BOX with tau^2 | (alpha - c) for the elements
+    alpha with these residues: one or two, in (a, b) order."""
     check_mu(mu)
     if not (0 <= r_s <= 7 and 0 <= r_t <= 3):
         raise ValueError(f"residues out of range: ({r_s}, {r_t})")
     if r_s % 4 == 0:
         raise InvalidResidueError(f"Rs = {r_s} is divisible by 4; the digit is 0")
-    out = []
-    for cp in range(-2, 3):
-        if (r_s - cp) % 4 != 0:
-            continue
-        ctilde = (r_s - cp) // 4
-        for cpp in range(-2, 3):
-            if (abs(cp), abs(cpp)) == (2, 2):
-                continue
-            if (r_t - cpp + 2 * mu * ctilde) % 4 == 0:
-                out.append(Digit(cp, cpp))
-    return tuple(sorted(out))
+    return tuple(c for c in TNAF_BOX
+                 if tau_sq_divides(ZTau(r_s - c.a, r_t - c.b, 0, 0), mu))
 
 
 @dataclass(frozen=True)
@@ -201,25 +195,13 @@ def _residue_cells() -> list[tuple[int, int]]:
 
 
 def validate_digit_set(dset: TnafDigitSet) -> bool:
-    """Usability check for an arbitrary digit collection.
-
-    True iff (i) all digits are in the allowed coefficient box, (ii) no two
-    digits share a constant part and differ by 4 in the tau part, (iii) no
-    two digits differ by 4 in the constant part and 2*mu in the tau part,
-    and (iv) every residue cell (Rs, Rt) has exactly one candidate digit in
-    the set.  (ii) and (iii) are the two pair patterns that would break
-    uniqueness of the recoding; (iv) is what makes it total and sparse.
+    """Usability check for an arbitrary digit collection, the uniqueness
+    lemma's premise: True iff (i) every digit lies in TNAF_BOX, (ii) tau
+    divides no nonzero digit, and (iii) every residue cell (Rs, Rt) has
+    exactly one candidate digit in the set.  Two distinct digits congruent
+    mod tau^2 are candidates for the same cells, so (iii) rejects them.
     """
-    digits = dset.digits
-    for c in digits:
-        if not (-2 <= c.a <= 2 and -2 <= c.b <= 2) or (abs(c.a), abs(c.b)) == (2, 2):
-            return False
-    for x in digits:
-        for y in digits:
-            if x == y:
-                continue
-            if x.a == y.a and abs(x.b - y.b) == 4:
-                return False
-            if abs(x.a - y.a) == 4 and abs(x.b - y.b) == 2:
-                return False
-    return None not in dset.cells
+    return (all(c in TNAF_BOX for c in dset.digits)
+            and not any(c != ZERO_DIGIT and tau_divides(digit_element(c))
+                        for c in dset.digits)
+            and None not in dset.cells)

@@ -204,7 +204,8 @@ def _words(a: ZTau, mu: int, digits: Sequence, max_len: int, max_weight: int,
     search stops at the zero element, which only a nonzero digit can reach,
     so every word found has a nonzero top digit; going on would need a
     nonzero digit with 4 | its constant part, which neither the GLS digits
-    nor a tau-NAF set has.
+    nor a tau-NAF set has (validate_digit_set rejects a set with a nonzero
+    digit that tau divides).
     """
     by_residue: dict[int, list[Digit]] = {r: [] for r in range(4)}
     for c in digits:

@@ -67,10 +67,18 @@ def _ldl_factors(mu: int) -> tuple:
     tables are reversed back, so n is lower triangular and the levels run
     from s (y_0 = n[0][0] * s) down to v; m is doubled because
     x^T G x = 2 * norm_sq(x).  Raises NotPositiveDefiniteError on first
-    use if the form is not definite.
+    use if the form is not definite, and ArithmeticError if the tables miss
+    m * norm_sq on one of the ten vectors e_j and e_j + e_k, which fix a
+    quadratic form in four variables, so that a wrong table fails at once
+    instead of steering the enumeration through a huge range.
     """
     m, w, n = ldl_decompose([row[::-1] for row in gram_matrix(mu)[::-1]])
-    return 2 * m, w[::-1], tuple(row[::-1] for row in n[::-1])
+    m, w, n = 2 * m, w[::-1], tuple(row[::-1] for row in n[::-1])
+    for x in ([int(i in (j, k)) for i in range(DIM)] for j in range(DIM) for k in range(j, DIM)):
+        y = [sum(a * b for a, b in zip(row, x)) for row in n]
+        if sum(wi * yi * yi for wi, yi in zip(w, y)) != m * norm_sq(x, mu):
+            raise ArithmeticError(f"LDL tables for mu={mu:+d} do not give the form at {x}")
+    return m, w, n
 
 
 def ldl_decompose(matrix) -> tuple:

@@ -89,10 +89,6 @@ def _mu_tag(mu: int) -> str:
     return "p1" if mu == 1 else "m1"
 
 
-def _mu_label(mu: int) -> str:
-    return "+1" if mu == 1 else "-1"
-
-
 def fixture_text(name: str) -> str:
     override = os.environ.get(FIXTURES_ENV)
     if override:
@@ -101,7 +97,7 @@ def fixture_text(name: str) -> str:
 
 
 def tnaf_table_id(mu: int, j: int) -> str:
-    return f"tnaf-existence-D{j}-mu={_mu_label(mu)}"
+    return f"tnaf-existence-D{j}-mu={mu:+d}"
 
 
 def _parse_fixture(name: str, columns: dict) -> list[tuple]:
@@ -188,7 +184,7 @@ def reproduce_gls_existence(mu: int) -> TableFixture:
             raise AssertionError(f"GLS recoding of {element} does not round-trip")
         rows.append(TableRow(element=element, norm_sq=n,
                              digits=e.digits, length=e.length))
-    return TableFixture(id=f"gls-existence-mu={_mu_label(mu)}", rows=tuple(rows))
+    return TableFixture(id=f"gls-existence-mu={mu:+d}", rows=tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -239,10 +235,10 @@ def check_census(mu: int, witnesses: list[NonUniquenessWitness]) -> list[CheckRe
     words = {w.word for w in witnesses}
     fixture = set(load_gls_nonuniqueness_fixture(mu))
     results = [
-        CheckResult(f"census-count-mu={_mu_label(mu)}",
+        CheckResult(f"census-count-mu={mu:+d}",
                     len(witnesses) == CENSUS_SIZE,
                     f"got {len(witnesses)}, want {CENSUS_SIZE}"),
-        CheckResult(f"census-words-mu={_mu_label(mu)}", words == fixture,
+        CheckResult(f"census-words-mu={mu:+d}", words == fixture,
                     f"{len(fixture - words)} missing, {len(words - fixture)} extra"),
     ]
     for w in witnesses:
@@ -251,7 +247,7 @@ def check_census(mu: int, witnesses: list[NonUniquenessWitness]) -> list[CheckRe
                 or not is_gls_window_valid(stripped)
                 or stripped == w.canonical.digits):
             results.append(CheckResult(
-                f"census-witness-{w.word}-mu={_mu_label(mu)}", False,
+                f"census-witness-{w.word}-mu={mu:+d}", False,
                 "witness fails its defining properties"))
     return results
 

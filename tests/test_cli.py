@@ -349,20 +349,30 @@ def test_check_deterministic_output(capsys):
 
 
 def test_check_reports_a_failed_factorization(capsys, monkeypatch):
-    # an indefinite form fails the checks that need its LDL factors
+    # an indefinite form, and tables that miss the form (which would
+    # otherwise steer the enumeration through millions of points), fail the
+    # checks that need the LDL factors
     indefinite = ((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    monkeypatch.setattr(tauadic.normform, "gram_matrix", lambda mu: indefinite)
-    tauadic.normform._ldl_factors.cache_clear()
-    try:
-        status, out, err = run(capsys, "check", "--suite", "norm", "--scale", "quick")
-    finally:
+    ldl_decompose = tauadic.normform.ldl_decompose
+
+    def wrong_tables(matrix):
+        m, _, n = ldl_decompose(matrix)
+        return m, (1, 1, 1, 1), n
+    for name, fake in (("gram_matrix", lambda mu: indefinite),
+                       ("ldl_decompose", wrong_tables)):
+        monkeypatch.setattr(tauadic.normform, name, fake)
         tauadic.normform._ldl_factors.cache_clear()
-    assert status == 1
-    assert err == ""
-    failed = {line.split()[1] for line in out.splitlines() if line.startswith("[FAIL]")}
-    assert failed == {"ldl-pivots-positive-mu=+1", "ldl-pivots-positive-mu=-1",
-                      "ldl-reconstructs-form", "enumeration-matches-bruteforce-mu=+1",
-                      "enumeration-matches-bruteforce-mu=-1"}
+        try:
+            status, out, err = run(capsys, "check", "--suite", "norm", "--scale", "quick")
+        finally:
+            monkeypatch.undo()
+            tauadic.normform._ldl_factors.cache_clear()
+        assert status == 1, name
+        assert err == ""
+        failed = {line.split()[1] for line in out.splitlines() if line.startswith("[FAIL]")}
+        assert failed == {"ldl-pivots-positive-mu=+1", "ldl-pivots-positive-mu=-1",
+                          "ldl-reconstructs-form", "enumeration-matches-bruteforce-mu=+1",
+                          "enumeration-matches-bruteforce-mu=-1"}, name
 
 
 def test_closed_stdout_exits_0():

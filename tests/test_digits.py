@@ -215,3 +215,20 @@ def test_validate_rejects_colliding_pair():
 def test_validate_rejects_incomplete_set():
     base = {D(0), D(1), D(-1), D(2), D(-2), D(1, 1), D(1, -1), D(-1, 1), D(-1, -1)}
     assert not validate_digit_set(TnafDigitSet(j=0, mu=1, digits=frozenset(base)))
+
+
+def test_validate_rejects_every_added_box_digit():
+    # 2 mu x 16 sets x the 8 box digits outside each set: 128 of them are
+    # divisible by tau, the rest collide mod tau^2 with a digit of the set
+    # (e.g. 1+2t with 1-2t, tau parts 4 apart)
+    box = [D(a, b) for a in range(-2, 3) for b in range(-2, 3) if (abs(a), abs(b)) != (2, 2)]
+    cases = 0
+    for mu in (1, -1):
+        for dset in all_tnaf_digit_sets(mu):
+            outside = [c for c in box if c not in dset]
+            assert len(outside) == 8
+            for c in outside:
+                grown = TnafDigitSet(j=0, mu=mu, digits=dset.digits | {c})
+                assert not validate_digit_set(grown), (mu, dset.j, c)
+                cases += 1
+    assert cases == 256

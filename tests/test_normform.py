@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import time
 from itertools import permutations
 from math import gcd, isqrt, prod
 
@@ -110,6 +111,23 @@ def test_enumeration_rejects_indefinite_form(monkeypatch):
     try:
         with pytest.raises(NotPositiveDefiniteError):
             enumerate_short_vectors(1, 5)
+    finally:
+        normform._ldl_factors.cache_clear()
+
+
+def test_wrong_tables_fail_before_enumerating(monkeypatch):
+    # w = (1, 1, 1, 1) widens every level: unchecked, bound 20 walks
+    # millions of points and returns a wrong set
+    def wrong(matrix):
+        m, _, n = ldl_decompose(matrix)
+        return m, (1, 1, 1, 1), n
+    monkeypatch.setattr(normform, "ldl_decompose", wrong)
+    normform._ldl_factors.cache_clear()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(ArithmeticError, match="do not give the form"):
+            enumerate_short_vectors(1, 20)
+        assert time.perf_counter() - start < 1
     finally:
         normform._ldl_factors.cache_clear()
 
