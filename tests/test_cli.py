@@ -66,8 +66,11 @@ def test_expand_json_round_trips(capsys):
                          "--digit-set", "1", "--element", "3,0,0,0",
                          "--format", "json")
     assert status == 0
-    from tauadic.expand import expansion_from_json
-    assert expansion_from_json(out).to_json() == out.strip()
+    obj = json.loads(out)
+    assert obj == {"kind": "tnaf", "mu": 1, "digit_set": 1, "element": [3, 0, 0, 0],
+                   "digits": [[-1, 2], [0, 0], [0, 0], [1, -1]],
+                   "length": 4, "hamming_weight": 2}
+    assert json.dumps(obj, separators=(",", ":")) == out.strip()
 
 
 def test_usage_errors(capsys):

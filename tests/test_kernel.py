@@ -11,7 +11,7 @@ from tauadic import expand
 from tauadic.digits import (Digit, ZERO_DIGIT, build_tnaf_digit_set,
                             gls_digit, tnaf_candidates, tnaf_digit)
 from tauadic.expand import (GLS, TNAF, GLS_TABLE, GuardExceededError,
-                            expand_gls, expand_tnaf, norm_trace, recode_steps)
+                            expand_gls, expand_tnaf, norm_trace, recode)
 from tauadic.normform import norm_sq
 from tauadic.ring import (TAU, ZERO, ZTau, evaluate_expansion, multiply,
                           quotient_by_tau, tau_divides)
@@ -89,10 +89,11 @@ def test_first_step_reads_the_cell_of_the_element(mu, j):
             a = _random_element(rng, bits)
             if a == ZERO:
                 continue
-            *state, c = next(recode_steps(a, mu, TNAF, j))
-            assert tuple(state) == tuple(a)
+            trace = []
+            c = recode(a, mu, TNAF, j, trace)[0]
+            assert trace[0] == tuple(a)
             assert c == (ZERO_DIGIT if tau_divides(a) else tnaf_digit(a, dset))
-            *_, c = next(recode_steps(a, mu, GLS))
+            c = recode(a, mu, GLS)[0]
             assert c == Digit(gls_digit(a.s % 8, a.t % 4, a.v % 2), 0)
 
 
@@ -126,15 +127,17 @@ def test_recoders_match_the_direct_loop(bits):
         assert norm_trace(a, mu, GLS) == [norm_sq(x, mu) for x in states] + [0]
         digits, states = _reference_recoding(
             a, mu, _tnaf_pick(build_tnaf_digit_set(j, mu)))
-        assert expand_tnaf(a, mu, j).digits == digits
+        trace = []
+        assert recode(a, mu, TNAF, j, trace) == expand_tnaf(a, mu, j).digits == digits
+        assert trace == [tuple(x) for x in states]
         assert norm_trace(a, mu, TNAF, j) == [norm_sq(x, mu) for x in states] + [0]
 
 
-def test_recode_steps_rejects_bad_arguments():
+def test_recode_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        next(recode_steps(ZTau(1, 0, 0, 0), 1, TNAF))
+        recode(ZTau(1, 0, 0, 0), 1, TNAF)
     with pytest.raises(ValueError):
-        next(recode_steps(ZTau(1, 0, 0, 0), 1, "other"))
+        recode(ZTau(1, 0, 0, 0), 1, "other")
     with pytest.raises(ValueError):
         expand_gls(ZTau(1, 0, 0, 0), 0)
     with pytest.raises(ValueError):
