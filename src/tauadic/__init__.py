@@ -10,7 +10,7 @@ from .ring import (ZTau, ZERO, ONE, TAU, NotDivisibleError, multiply,
 from .digits import (Digit, ZERO_DIGIT, TnafDigitSet, InvalidResidueError,
                      ElementDivisibleError, GLS_DIGITS, gls_digit,
                      tnaf_candidates, build_tnaf_digit_set, tnaf_digit,
-                     validate_digit_set, format_digit, parse_digit)
+                     validate_digit_set, format_digit)
 from .normform import (ShortVectorSet, NotPositiveDefiniteError,
                        BoxTooSmallError, gram_matrix, norm_sq, ldl_decompose,
                        enumerate_short_vectors, enumerate_bruteforce_oracle)

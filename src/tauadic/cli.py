@@ -25,9 +25,9 @@ import os
 import sys
 
 from . import checks, tables
-from .expand import expand_gls, expand_tnaf, format_digit_word
-from .normform import enumerate_short_vectors, norm_sq
-from .ring import format_element, mu_from_curve_coeff, parse_element
+from .expand import CSV_HEADER, expand_gls, expand_tnaf
+from .normform import enumerate_short_vectors
+from .ring import mu_from_curve_coeff, parse_element
 
 USAGE_ERROR = 2
 FIXTURE_ERROR = 3
@@ -115,9 +115,8 @@ def cmd_expand(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(expansion.to_json())
     elif args.format == "csv":
-        print("s,t,u,v,norm_sq,digits,length")
-        print(f"{format_element(element)},{norm_sq(element, mu)},"
-              f"{format_digit_word(expansion.digits)},{expansion.length}")
+        print(CSV_HEADER)
+        print(expansion.csv_row())
     else:
         print(expansion.display())
         print(f"length: {expansion.length}")

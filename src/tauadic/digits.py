@@ -20,7 +20,6 @@ exactly one candidate in the set.
 from __future__ import annotations
 
 import functools
-import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -64,21 +63,6 @@ def format_digit(c: Digit) -> str:
         return str(a)
     sign = "+" if b > 0 else "-"
     return f"{a}{sign}{abs(b)}t"
-
-
-_DIGIT_RE = re.compile(r"^(-?\d+)(?:([+-])(\d+)t)?$")
-
-
-@functools.lru_cache(maxsize=128)  # a fixture repeats a few digit strings
-def parse_digit(text: str) -> Digit:
-    m = _DIGIT_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"malformed digit {text!r}")
-    a = int(m.group(1))
-    if m.group(2) is None:
-        return Digit(a, 0)
-    b = int(m.group(3))
-    return Digit(a, b if m.group(2) == "+" else -b)
 
 
 GLS_DIGITS = tuple(range(-3, 4))

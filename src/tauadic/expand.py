@@ -22,12 +22,14 @@ from typing import Iterable, Optional, Sequence
 
 from .digits import (Digit, GLS_DIGITS, TnafDigitSet, ZERO_DIGIT,
                      build_tnaf_digit_set, digit_element, format_digit,
-                     gls_digit, parse_digit)
-from .ring import ZTau, ZERO, check_mu, evaluate_expansion, quotient_by_tau
+                     gls_digit)
+from .ring import (ZTau, ZERO, check_mu, evaluate_expansion, format_element,
+                   quotient_by_tau)
 from .normform import norm_sq
 
 GLS = "gls"
 TNAF = "tnaf"
+CSV_HEADER = "s,t,u,v,norm_sq,digits,length"
 
 
 class GuardExceededError(RuntimeError):
@@ -68,6 +70,11 @@ class Expansion:
             "hamming_weight": self.weight,
         }
         return json.dumps(obj, separators=(",", ":"))
+
+    def csv_row(self) -> str:
+        """One ``CSV_HEADER`` row, e.g. "3,0,0,0,18,1-1t;0;0;-1+2t,4"."""
+        return (f"{format_element(self.source)},{norm_sq(self.source, self.mu)},"
+                f"{format_digit_word(self.digits)},{self.length}")
 
 
 # Residue tables of the recoding loop (Solinas), built from the digit rules:
@@ -241,17 +248,8 @@ def norm_trace(a: ZTau, mu: int, method: str, j: Optional[int] = None) -> list[i
     return [norm_sq(x, mu) for x in trace] + [0]
 
 
-def parse_digit_word(text: str) -> tuple:
-    """Parse a semicolon-separated big-endian digit word into little-endian
-    digits, e.g. "1-1t;0;0;-1+2t"."""
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(parse_digit(p) for p in reversed(text.split(";")))
-
-
 def format_digit_word(digits: Sequence) -> str:
-    """Inverse of parse_digit_word (big-endian, semicolon separated)."""
+    """Big-endian digit text joined with semicolons, e.g. "1-1t;0;0;-1+2t"."""
     return ";".join(format_digit(c) for c in reversed(list(digits)))
 
 

@@ -4,70 +4,54 @@ Fixture CSVs live in the package's ``fixtures/`` directory (override with
 the TAU_FIXTURES_DIR environment variable):
 
 * ``tnaf_existence_{p1|m1}_j{01..16}.csv`` -- all 94 elements with squared
-  norm <= 20 together with their tau-NAF over digit set j, columns
-  ``s,t,u,v,norm_sq,digits,length`` with digits big-endian and
-  semicolon-separated;
+  norm <= 20 together with their tau-NAF over digit set j: the header
+  ``expand.CSV_HEADER`` and one ``Expansion.csv_row`` per element;
 * ``gls_nonuniqueness_{p1|m1}.csv`` -- the 252 four-digit GLS words whose
-  first recoding step deviates from the canonical one, columns
-  ``c3,c2,c1,c0``.
+  first recoding step deviates from the canonical one: the header
+  ``CENSUS_HEADER`` and one ``NonUniquenessWitness.csv_row`` per word.
 
-Table comparisons are set comparisons; row order is presentation only.
+A fixture is checked as a set of text lines against the rows the program
+computes and prints itself; row order is presentation only.  A header
+other than the expected one is a FixtureError; a data line that equals no
+computed row, or repeats an earlier line, is a mismatch that names the
+file and the line.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import json
 import os
 from dataclasses import dataclass
 from importlib.resources import files
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from .checks import CheckResult
-from .digits import Digit, GLS_DIGITS, build_tnaf_digit_set
-from .expand import (Expansion, expand_gls, expand_tnaf, format_digit_word,
-                     is_gls_window_valid, is_naf, parse_digit_word,
-                     strip_top_zeros)
-from .normform import enumerate_short_vectors, norm_sq
+from .digits import Digit, GLS_DIGITS
+from .expand import (CSV_HEADER, Expansion, expand_gls, expand_tnaf,
+                     is_gls_window_valid, strip_top_zeros)
+from .normform import enumerate_short_vectors
 from .ring import ZTau, check_mu, evaluate_expansion
 
 FIXTURES_ENV = "TAU_FIXTURES_DIR"
 
 TNAF_NORM_BOUND = 20   # census: 94 elements
 GLS_NORM_BOUND = 38    # census: 300 elements
-TNAF_TABLE_SIZE = 94
 GLS_TABLE_SIZE = 300
 CENSUS_SIZE = 252
+CENSUS_HEADER = "c3,c2,c1,c0"
 
 
 class FixtureError(AssertionError):
-    """A fixture file is malformed or an embedded row is inconsistent."""
-
-
-class TableRow(NamedTuple):
-    element: ZTau
-    norm_sq: int
-    digits: tuple          # little-endian Digit word
-    length: int
-
-
-@dataclass(frozen=True)
-class TableFixture:
-    id: str
-    rows: tuple
-
-    def row_set(self) -> frozenset:
-        return frozenset(self.rows)
+    """A fixture file has a header other than the expected columns."""
 
 
 @dataclass(frozen=True)
 class TableDiff:
     table_id: str
-    missing: tuple   # expected but not computed
-    extra: tuple     # computed but not expected
+    missing: tuple   # "<file> line N: <row>" of fixture lines not computed
+    extra: tuple     # computed rows that no fixture line equals
 
     @property
     def ok(self) -> bool:
@@ -79,9 +63,7 @@ class TableDiff:
         lines = [f"{self.table_id}: MISMATCH "
                  f"({len(self.missing)} missing, {len(self.extra)} extra)"]
         for tag, rows in (("missing", self.missing), ("extra", self.extra)):
-            for r in rows:
-                lines.append(f"  {tag}: {r.element} norm_sq={r.norm_sq} "
-                             f"digits={format_digit_word(r.digits)} length={r.length}")
+            lines += [f"  {tag}: {r}" for r in rows]
         return "\n".join(lines)
 
 
@@ -96,95 +78,50 @@ def fixture_text(name: str) -> str:
     return files("tauadic").joinpath("fixtures").joinpath(name).read_text()
 
 
-def tnaf_table_id(mu: int, j: int) -> str:
-    return f"tnaf-existence-D{j}-mu={mu:+d}"
-
-
-def _parse_fixture(name: str, columns: dict) -> list[tuple]:
-    """Every data row of a fixture CSV as a tuple, each field converted by
-    the function its column maps to.  A header other than the columns, a
-    row with another number of fields or a field its function rejects
-    raises FixtureError naming the file and the line."""
-    reader = csv.reader(io.StringIO(fixture_text(name)))
-    header = next(reader, [])
-    if header != list(columns):
-        raise FixtureError(f"{name} line 1: columns {header}, want {list(columns)}")
-    out = []
-    for row in filter(None, reader):  # blank lines are skipped
-        where = f"{name} line {reader.line_num}"
-        if len(row) != len(columns):
-            raise FixtureError(f"{where}: {len(row)} fields, want {len(columns)}")
-        try:
-            out.append(tuple(f(x) for f, x in zip(columns.values(), row)))
-        except ValueError as exc:
-            raise FixtureError(f"{where}: {exc}") from None
-    return out
-
-
-def load_tnaf_existence_fixture(mu: int, j: int) -> TableFixture:
-    check_mu(mu)
-    name = f"tnaf_existence_{_mu_tag(mu)}_j{j:02d}.csv"
-    columns = dict(s=int, t=int, u=int, v=int, norm_sq=int,
-                   digits=parse_digit_word, length=int)
-    rows = [TableRow(ZTau(*f[:4]), *f[4:]) for f in _parse_fixture(name, columns)]
-    return TableFixture(id=tnaf_table_id(mu, j), rows=tuple(rows))
-
-
-def validate_tnaf_fixture(fix: TableFixture, mu: int, j: int) -> None:
-    """Internal consistency of every embedded row; runs before any comparison."""
-    dset = build_tnaf_digit_set(j, mu)
-    for r in fix.rows:
-        if norm_sq(r.element, mu) != r.norm_sq:
-            raise FixtureError(f"{fix.id}: bad norm for {r.element}")
-        if evaluate_expansion(r.digits, mu) != r.element:
-            raise FixtureError(f"{fix.id}: digits do not evaluate to {r.element}")
-        if len(r.digits) != r.length:
-            raise FixtureError(f"{fix.id}: bad length for {r.element}")
-        if not is_naf(r.digits, dset):
-            raise FixtureError(f"{fix.id}: digits for {r.element} are not a valid NAF word")
-
-
-def reproduce_tnaf_existence_table(mu: int, j: int) -> TableFixture:
-    """Recode every element with squared norm <= 20 over digit set j."""
-    rows = []
-    for element, n in enumerate_short_vectors(mu, TNAF_NORM_BOUND).elements:
-        e = expand_tnaf(element, mu, j)
-        rows.append(TableRow(element=element, norm_sq=n,
-                             digits=e.digits, length=e.length))
-    return TableFixture(id=tnaf_table_id(mu, j), rows=tuple(rows))
-
-
-def compare_tables(computed: TableFixture, expected: TableFixture) -> TableDiff:
-    got, want = computed.row_set(), expected.row_set()
-    return TableDiff(table_id=computed.id,
-                     missing=tuple(sorted(want - got)),
-                     extra=tuple(sorted(got - want)))
+def _compare_fixture(table_id: str, name: str, header: str,
+                     rows: Iterable[str]) -> TableDiff:
+    """The data lines of fixture ``name`` against the computed CSV rows, as
+    sets of lines (blank lines skipped).  A line that equals no computed row,
+    or repeats an earlier line, is missing at its file and line; a computed
+    row that no line equals is extra.  A first line other than the header
+    raises FixtureError."""
+    lines = fixture_text(name).splitlines()
+    if not lines or lines[0] != header:
+        got = lines[0].split(",") if lines else []
+        raise FixtureError(f"{name} line 1: columns {got}, want {header.split(',')}")
+    extra = set(rows)
+    missing = []
+    for n, line in enumerate(lines[1:], 2):
+        if line in extra:
+            extra.remove(line)
+        elif line:
+            missing.append(f"{name} line {n}: {line}")
+    return TableDiff(table_id, tuple(missing), tuple(sorted(extra)))
 
 
 def check_tnaf_existence_table(mu: int, j: int) -> TableDiff:
-    """Validate the fixture, recompute the table, and diff them as sets."""
-    fix = load_tnaf_existence_fixture(mu, j)
-    validate_tnaf_fixture(fix, mu, j)
-    if len(fix.rows) != TNAF_TABLE_SIZE:
-        raise FixtureError(f"{fix.id}: expected {TNAF_TABLE_SIZE} rows, "
-                           f"got {len(fix.rows)}")
-    return compare_tables(reproduce_tnaf_existence_table(mu, j), fix)
+    """Recode every element with squared norm <= 20 over digit set j and
+    compare the rows with the fixture's lines."""
+    rows = [expand_tnaf(element, mu, j).csv_row()
+            for element, _ in enumerate_short_vectors(mu, TNAF_NORM_BOUND).elements]
+    return _compare_fixture(f"tnaf-existence-D{j}-mu={mu:+d}",
+                            f"tnaf_existence_{_mu_tag(mu)}_j{j:02d}.csv",
+                            CSV_HEADER, rows)
 
 
-def reproduce_gls_existence(mu: int) -> TableFixture:
+def reproduce_gls_existence(mu: int) -> list[Expansion]:
     """GLS-recode every element with squared norm <= 38.
 
     There is no reference table to compare against; each row is checked for
     round-trip consistency and the census size is enforced by the caller.
     """
-    rows = []
-    for element, n in enumerate_short_vectors(mu, GLS_NORM_BOUND).elements:
+    out = []
+    for element, _ in enumerate_short_vectors(mu, GLS_NORM_BOUND).elements:
         e = expand_gls(element, mu)
         if evaluate_expansion(e.digits, mu) != element:
             raise AssertionError(f"GLS recoding of {element} does not round-trip")
-        rows.append(TableRow(element=element, norm_sq=n,
-                             digits=e.digits, length=e.length))
-    return TableFixture(id=f"gls-existence-mu={mu:+d}", rows=tuple(rows))
+        out.append(e)
+    return out
 
 
 @dataclass(frozen=True)
@@ -198,6 +135,10 @@ class NonUniquenessWitness:
 
     def word_le(self) -> tuple:
         return tuple(Digit(c, 0) for c in reversed(self.word))
+
+    def csv_row(self) -> str:
+        """The word as one ``CENSUS_HEADER`` row, e.g. "-3,0,-3,-3"."""
+        return ",".join(str(c) for c in self.word)
 
 
 def gls_nonuniqueness_census(mu: int) -> list[NonUniquenessWitness]:
@@ -223,23 +164,18 @@ def gls_nonuniqueness_census(mu: int) -> list[NonUniquenessWitness]:
     return out
 
 
-def load_gls_nonuniqueness_fixture(mu: int) -> list[tuple]:
-    check_mu(mu)
-    name = f"gls_nonuniqueness_{_mu_tag(mu)}.csv"
-    return _parse_fixture(name, dict.fromkeys(("c3", "c2", "c1", "c0"), int))
-
-
 def check_census(mu: int, witnesses: list[NonUniquenessWitness]) -> list[CheckResult]:
     """Census size and word-set equality with the embedded fixture, for the
     witnesses gls_nonuniqueness_census(mu) returned."""
-    words = {w.word for w in witnesses}
-    fixture = set(load_gls_nonuniqueness_fixture(mu))
+    check_mu(mu)
+    words = _compare_fixture(f"census-words-mu={mu:+d}",
+                             f"gls_nonuniqueness_{_mu_tag(mu)}.csv",
+                             CENSUS_HEADER, [w.csv_row() for w in witnesses])
     results = [
         CheckResult(f"census-count-mu={mu:+d}",
                     len(witnesses) == CENSUS_SIZE,
                     f"got {len(witnesses)}, want {CENSUS_SIZE}"),
-        CheckResult(f"census-words-mu={mu:+d}", words == fixture,
-                    f"{len(fixture - words)} missing, {len(words - fixture)} extra"),
+        CheckResult(words.table_id, words.ok, words.describe()),
     ]
     for w in witnesses:
         stripped = strip_top_zeros(w.word_le())
@@ -263,8 +199,8 @@ def run_table_checks(mus: Iterable[int] = (1, -1),
             results.append(CheckResult(diff.table_id, diff.ok, diff.describe()))
         gls = reproduce_gls_existence(mu)
         results.append(CheckResult(
-            gls.id, len(gls.rows) == GLS_TABLE_SIZE,
-            f"{len(gls.rows)} rows, want {GLS_TABLE_SIZE}"))
+            f"gls-existence-mu={mu:+d}", len(gls) == GLS_TABLE_SIZE,
+            f"{len(gls)} rows, want {GLS_TABLE_SIZE}"))
     return results
 
 
@@ -276,6 +212,4 @@ def census_to_json(witnesses: list[NonUniquenessWitness]) -> str:
 
 
 def census_to_csv(witnesses: list[NonUniquenessWitness]) -> str:
-    lines = ["c3,c2,c1,c0"]
-    lines += [",".join(str(c) for c in w.word) for w in witnesses]
-    return "\n".join(lines) + "\n"
+    return "\n".join([CENSUS_HEADER] + [w.csv_row() for w in witnesses]) + "\n"

@@ -12,8 +12,7 @@ from tauadic.expand import (Expansion, GLS, TNAF, check_expansion,
                             enumerate_naf_words, expand_gls, expand_tnaf,
                             format_digit_word,
                             is_gls_window_valid, is_naf,
-                            min_hamming_weight, norm_trace, parse_digit_word,
-                            strip_top_zeros)
+                            min_hamming_weight, norm_trace, strip_top_zeros)
 from tauadic.normform import enumerate_short_vectors
 from tauadic.ring import ZERO, ZTau, evaluate_expansion, quotient_by_tau
 
@@ -315,12 +314,12 @@ def test_expansion_json_round_trip():
         "digits": [], "length": 0, "hamming_weight": 0}
 
 
-def test_digit_word_text_round_trip():
-    word = le((1, -1), 0, 0, (-1, 2))
-    text = format_digit_word(word)
-    assert text == "1-1t;0;0;-1+2t"
-    assert parse_digit_word(text) == word
-    assert parse_digit_word("") == ()
+def test_digit_word_text_and_csv_row():
+    assert format_digit_word(le((1, -1), 0, 0, (-1, 2))) == "1-1t;0;0;-1+2t"
+    assert format_digit_word(()) == ""
+    assert expand.CSV_HEADER == "s,t,u,v,norm_sq,digits,length"
+    assert expand_tnaf(ZTau(3, 0, 0, 0), 1, 1).csv_row() == "3,0,0,0,18,1-1t;0;0;-1+2t,4"
+    assert expand_gls(ZERO, -1).csv_row() == "0,0,0,0,0,,0"
 
 
 def test_check_expansion_rejects_corrupt_words():
