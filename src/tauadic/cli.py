@@ -133,12 +133,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         raise UsageError(f"--bound {args.bound} would list about {predicted:,} elements, "
                          f"more than the cap of {MAX_COUNT:,}")
     found = enumerate_short_vectors(mu, args.bound, include_zero=args.include_zero)
-    if args.format == "json":
-        print(found.to_json())
-    elif args.format == "csv":
-        sys.stdout.write(found.to_csv())
-    else:
-        sys.stdout.write(found.to_text())
+    found.write(sys.stdout, args.format)
     return 0
 
 

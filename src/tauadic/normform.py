@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
 from math import gcd, isqrt, prod
 
 from .ring import ELEMENT_FORMAT, ZTau, check_mu
@@ -114,6 +113,16 @@ def _quads(coords: tuple):
     return zip(it, it, it, it)
 
 
+# Per output form: the head, each element's row around its ELEMENT_FORMAT
+# and norm_sq, the separator between rows, and the tail, whose {} is the
+# element count.
+_FORMS = {
+    "text": ("", "%s  norm_sq=%d\n", "", "total: {}\n"),
+    "csv": ("s,t,u,v,norm_sq\n", "%s,%d\n", "", ""),
+    "json": ("[", '{"element":[%s],"norm_sq":%d}', ",", "]\n"),
+}
+
+
 @dataclass(frozen=True)
 class ShortVectorSet:
     """All elements with 0 < Q <= bound (0 included only on request),
@@ -122,13 +131,12 @@ class ShortVectorSet:
     Kept as norm shells: ``shells`` holds one (norm_sq, coords) pair per
     norm, in increasing order, where coords lists s, t, u, v of each
     element of the shell in turn, elements in increasing (s, t, u, v)
-    order.  The enumerator's loops, s outermost, fill each shell in that
-    order, so it sorts no shell; the oracle sorts its shells in _shell_set.
+    order.  Both the enumerator and the oracle loop s outermost and v
+    innermost, so each shell fills in that order and none is sorted.
     At bound 1000 that is about 44 bytes an element (four list slots, and
     an int object for each coordinate outside the interpreter's shared
     small ints) instead of about 160 for a ZTau with its (ZTau, norm_sq)
-    pair; ``elements`` builds those pairs on every access.  The text, CSV
-    and JSON forms are written from the shells, one % format per shell.
+    pair; ``elements`` builds those pairs on every access.
     """
 
     mu: int
@@ -146,36 +154,21 @@ class ShortVectorSet:
     def element_set(self) -> frozenset:
         return frozenset(ZTau(*c) for _, coords in self.shells for c in _quads(coords))
 
-    def _rows(self, head: str, mid: str, tail: str, sep: str = "") -> list:
-        """One string per shell: each element as head, its canonical text
-        form (ELEMENT_FORMAT), mid, its norm_sq and tail, joined by sep.
-        One format string per shell, so the rows are built in C."""
-        return [sep.join([f"{head}{ELEMENT_FORMAT}{mid}{q}{tail}"] * (len(coords) // DIM))
-                % coords for q, coords in self.shells]
-
-    # Each form is one join: concatenating a header or a bracket would copy
-    # the whole text once more (about 3 MiB more peak RSS at bound 1000).
-    def to_text(self) -> str:
-        return "".join([*self._rows("", "  norm_sq=", "\n"), f"total: {len(self)}\n"])
-
-    def to_csv(self) -> str:
-        return "".join(["s,t,u,v,norm_sq\n", *self._rows("", ",", "\n")])
-
-    def to_json(self) -> str:
-        """The bytes of json.dumps of the {"element", "norm_sq"} list with
-        separators (",", ":")."""
-        parts = [p for row in self._rows('{"element":[', '],"norm_sq":', "}", ",")
-                 for p in (",", row)]
-        return "".join(["[", *parts[1:], "]"])
-
-
-def _shell_set(mu: int, bound: int, shells: dict) -> ShortVectorSet:
-    """The ShortVectorSet of a dict norm_sq -> flat coordinate list, each
-    shell sorted here; empties the dict as it goes."""
-    ordered = []
-    for q in sorted(shells):
-        ordered.append((q, tuple(chain.from_iterable(sorted(_quads(shells.pop(q)))))))
-    return ShortVectorSet(mu=mu, bound=bound, shells=tuple(ordered))
+    def write(self, out, fmt: str) -> None:
+        """Write the set to the text stream ``out`` as "text", "csv" or
+        "json": a head, then each norm shell as soon as it is formatted,
+        with one % format per shell, then a tail, so at most one shell's
+        text is held at a time.  The JSON form is json.dumps of the
+        {"element", "norm_sq"} list with separators (",", ":"), then a
+        newline."""
+        head, row, sep, tail = _FORMS[fmt]
+        out.write(head)
+        lead = ""
+        for q, coords in self.shells:
+            out.write((lead + sep.join([row % (ELEMENT_FORMAT, q)] * (len(coords) // DIM)))
+                      % coords)
+            lead = sep
+        out.write(tail.format(len(self)))
 
 
 def _level_xs(wk: int, lk: int, c: int, budget: int) -> range:
@@ -230,28 +223,30 @@ def enumerate_short_vectors(mu: int, bound: int, include_zero: bool = False) -> 
 def enumerate_bruteforce_oracle(mu: int, bound: int, box: int) -> ShortVectorSet:
     """Independent oracle: exhaustive scan of the coefficient box |c_j| <= box.
 
-    Scans the (t, u, v) lines of the box.  On a line, norm_sq is the
-    quadratic 2s^2 + b*s + c in s, so only the s of its real interval
+    Scans the (s, t, u) lines of the box.  On a line, norm_sq is the
+    quadratic 16v^2 + b*v + c in v, so only the v of its real interval
     where that is <= bound, widened by one on each side, are tested, each
-    by norm_sq itself.  Uses none of the enumerator's LDL tables.
-    Raises BoxTooSmallError if any qualifying vector touches the box
-    boundary, since the scan would then be incomplete.
+    by norm_sq itself.  Uses none of the enumerator's LDL tables.  The
+    scan runs v innermost, so each shell fills in increasing (s, t, u, v)
+    order, as the enumerator's do.  Raises BoxTooSmallError if any
+    qualifying vector touches the box boundary, since the scan would then
+    be incomplete.
     """
     check_mu(mu)
     if box < 1:
         raise ValueError(f"box must be >= 1, got {box}")
     rng = range(-box, box + 1)
     shells: defaultdict[int, list[int]] = defaultdict(list)
-    for t in rng:
-        for u in rng:
-            for v in rng:
-                b = mu * t + u + 7 * mu * v
-                disc = b * b - 8 * (norm_sq((0, t, u, v), mu) - bound)
+    for s in rng:
+        for t in rng:
+            for u in rng:
+                b = mu * (7 * s + 4 * u) + 2 * t
+                disc = b * b - 64 * (norm_sq((s, t, u, 0), mu) - bound)
                 if disc < 0:
                     continue
                 r = isqrt(disc)
-                for s in range(max(-box, (-b - r) // 4 - 1),
-                               min(box, (-b + r) // 4 + 1) + 1):
+                for v in range(max(-box, (-b - r) // 32 - 1),
+                               min(box, (-b + r) // 32 + 1) + 1):
                     n = norm_sq((s, t, u, v), mu)
                     if n <= bound:
                         if n == 0:
@@ -260,4 +255,5 @@ def enumerate_bruteforce_oracle(mu: int, bound: int, box: int) -> ShortVectorSet
                             raise BoxTooSmallError(
                                 f"qualifying vector ({s},{t},{u},{v}) on the box edge")
                         shells[n].extend((s, t, u, v))
-    return _shell_set(mu, bound, shells)
+    return ShortVectorSet(mu=mu, bound=bound,
+                          shells=tuple((q, tuple(shells.pop(q))) for q in sorted(shells)))

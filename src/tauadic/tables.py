@@ -47,26 +47,6 @@ class FixtureError(AssertionError):
     """A fixture file has a header other than the expected columns."""
 
 
-@dataclass(frozen=True)
-class TableDiff:
-    table_id: str
-    missing: tuple   # "<file> line N: <row>" of fixture lines not computed
-    extra: tuple     # computed rows that no fixture line equals
-
-    @property
-    def ok(self) -> bool:
-        return not self.missing and not self.extra
-
-    def describe(self) -> str:
-        if self.ok:
-            return f"{self.table_id}: OK"
-        lines = [f"{self.table_id}: MISMATCH "
-                 f"({len(self.missing)} missing, {len(self.extra)} extra)"]
-        for tag, rows in (("missing", self.missing), ("extra", self.extra)):
-            lines += [f"  {tag}: {r}" for r in rows]
-        return "\n".join(lines)
-
-
 def _mu_tag(mu: int) -> str:
     return "p1" if mu == 1 else "m1"
 
@@ -79,12 +59,13 @@ def fixture_text(name: str) -> str:
 
 
 def _compare_fixture(table_id: str, name: str, header: str,
-                     rows: Iterable[str]) -> TableDiff:
+                     rows: Iterable[str]) -> CheckResult:
     """The data lines of fixture ``name`` against the computed CSV rows, as
     sets of lines (blank lines skipped).  A line that equals no computed row,
     or repeats an earlier line, is missing at its file and line; a computed
-    row that no line equals is extra.  A first line other than the header
-    raises FixtureError."""
+    row that no line equals is extra.  The detail is "<table_id>: OK", or a
+    MISMATCH line with the counts and then one line per missing and extra
+    row.  A first line other than the header raises FixtureError."""
     lines = fixture_text(name).splitlines()
     if not lines or lines[0] != header:
         got = lines[0].split(",") if lines else []
@@ -96,10 +77,14 @@ def _compare_fixture(table_id: str, name: str, header: str,
             extra.remove(line)
         elif line:
             missing.append(f"{name} line {n}: {line}")
-    return TableDiff(table_id, tuple(missing), tuple(sorted(extra)))
+    if not missing and not extra:
+        return CheckResult(table_id, True, f"{table_id}: OK")
+    detail = [f"{table_id}: MISMATCH ({len(missing)} missing, {len(extra)} extra)"]
+    detail += [f"  missing: {r}" for r in missing] + [f"  extra: {r}" for r in sorted(extra)]
+    return CheckResult(table_id, False, "\n".join(detail))
 
 
-def check_tnaf_existence_table(mu: int, j: int) -> TableDiff:
+def check_tnaf_existence_table(mu: int, j: int) -> CheckResult:
     """Recode every element with squared norm <= 20 over digit set j and
     compare the rows with the fixture's lines."""
     rows = [expand_tnaf(element, mu, j).csv_row()
@@ -168,14 +153,13 @@ def check_census(mu: int, witnesses: list[NonUniquenessWitness]) -> list[CheckRe
     """Census size and word-set equality with the embedded fixture, for the
     witnesses gls_nonuniqueness_census(mu) returned."""
     check_mu(mu)
-    words = _compare_fixture(f"census-words-mu={mu:+d}",
-                             f"gls_nonuniqueness_{_mu_tag(mu)}.csv",
-                             CENSUS_HEADER, [w.csv_row() for w in witnesses])
     results = [
         CheckResult(f"census-count-mu={mu:+d}",
                     len(witnesses) == CENSUS_SIZE,
                     f"got {len(witnesses)}, want {CENSUS_SIZE}"),
-        CheckResult(words.table_id, words.ok, words.describe()),
+        _compare_fixture(f"census-words-mu={mu:+d}",
+                         f"gls_nonuniqueness_{_mu_tag(mu)}.csv",
+                         CENSUS_HEADER, [w.csv_row() for w in witnesses]),
     ]
     for w in witnesses:
         stripped = strip_top_zeros(w.word_le())
@@ -195,8 +179,7 @@ def run_table_checks(mus: Iterable[int] = (1, -1),
     js = list(js) if js is not None else list(range(1, 17))
     for mu in mus:
         for j in js:
-            diff = check_tnaf_existence_table(mu, j)
-            results.append(CheckResult(diff.table_id, diff.ok, diff.describe()))
+            results.append(check_tnaf_existence_table(mu, j))
         gls = reproduce_gls_existence(mu)
         results.append(CheckResult(
             f"gls-existence-mu={mu:+d}", len(gls) == GLS_TABLE_SIZE,

@@ -42,9 +42,9 @@ def test_criterion_2_golden_tables():
     # the remaining 30 tables (far beyond the 5-spot-row minimum)
     for mu in (1, -1):
         for j in range(1, 17):
-            diff = tables.check_tnaf_existence_table(mu, j)
-            if not diff.ok:
-                problems.append(diff.describe())
+            result = tables.check_tnaf_existence_table(mu, j)
+            if not result.passed:
+                problems.append(result.describe())
     elapsed = time.perf_counter() - started
     if elapsed >= 10.0:
         problems.append(f"table reproduction took {elapsed:.2f}s >= 10s")

@@ -388,14 +388,32 @@ def test_check_reports_a_failed_factorization(capsys, monkeypatch):
 def test_closed_stdout_exits_0():
     # a reader that stops early, as `tauadic enumerate ... | head -1` does
     src = Path(tauadic.__file__).resolve().parent.parent
-    with subprocess.Popen(
-            [sys.executable, "-m", "tauadic.cli", "enumerate", "--mu", "1",
-             "--bound", "300"],
-            env=dict(os.environ, PYTHONPATH=str(src)),
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
-        assert proc.stdout.readline() == "-1,0,0,0  norm_sq=2\n"
-        proc.stdout.close()
-        err = proc.stderr.read()
-        status = proc.wait(timeout=60)
-    assert status == 0
-    assert err == ""  # no message, no traceback
+    for fmt, first in (("text", "-1,0,0,0  norm_sq=2\n"),
+                       ("json", '[{"element":[-1,0,0,0],"norm_sq":2},')):
+        with subprocess.Popen(
+                [sys.executable, "-m", "tauadic.cli", "enumerate", "--mu", "1",
+                 "--bound", "300", "--format", fmt],
+                env=dict(os.environ, PYTHONPATH=str(src)),
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+            assert proc.stdout.read(len(first)) == first
+            proc.stdout.close()
+            err = proc.stderr.read()
+            status = proc.wait(timeout=60)
+        assert status == 0, fmt
+        assert err == "", fmt  # no message, no traceback
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_stdout_exits_3():
+    # a write that fails while the shells stream out is an I/O error
+    src = Path(tauadic.__file__).resolve().parent.parent
+    for fmt in ("text", "csv", "json"):
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "tauadic.cli", "enumerate", "--mu", "1",
+                 "--bound", "300", "--format", fmt],
+                env=dict(os.environ, PYTHONPATH=str(src)),
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+        assert done.returncode == 3, fmt
+        assert len(done.stderr.splitlines()) == 1, done.stderr
+        assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr

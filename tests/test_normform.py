@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import random
 import time
@@ -9,7 +10,7 @@ import pytest
 
 from tauadic import normform
 from tauadic.normform import (BoxTooSmallError, NotPositiveDefiniteError,
-                              enumerate_bruteforce_oracle,
+                              ShortVectorSet, enumerate_bruteforce_oracle,
                               enumerate_short_vectors, gram_matrix,
                               ldl_decompose, norm_sq)
 from tauadic.ring import TAU, ZERO, ZTau, multiply
@@ -212,9 +213,15 @@ def test_enumeration_matches_line_count():
                 assert len(found) == expected + include_zero, (mu, bound, include_zero)
 
 
+def _written(found, fmt: str) -> str:
+    out = io.StringIO()
+    found.write(out, fmt)
+    return out.getvalue()
+
+
 def test_short_vector_set_views_agree():
-    # elements, len, element_set, to_csv and to_json all read the same
-    # flat coordinate shells
+    # elements, len, element_set and write all read the same flat
+    # coordinate shells
     for mu in (1, -1):
         for include_zero in (False, True):
             found = enumerate_short_vectors(mu, 120, include_zero)
@@ -223,30 +230,57 @@ def test_short_vector_set_views_agree():
             assert len(found) == len(pairs) == len(found.element_set())
             assert found.element_set() == {e for e, _ in pairs}
             assert [q for q, _ in found.shells] == sorted({q for _, q in pairs})
-            rows = found.to_csv().splitlines()
+            rows = _written(found, "csv").splitlines()
             assert rows[0] == "s,t,u,v,norm_sq"
             assert rows[1:] == [f"{e.s},{e.t},{e.u},{e.v},{q}" for e, q in pairs]
-            assert json.loads(found.to_json()) == [
+            assert json.loads(_written(found, "json")) == [
                 {"element": list(e), "norm_sq": q} for e, q in pairs]
-        # the oracle's shells are built by the same code path from scan order
+        # the oracle's scan fills its shells in the enumerator's order
         assert enumerate_bruteforce_oracle(mu, 50, 8) == enumerate_short_vectors(mu, 50)
 
 
+class _Sink:
+    """A text stream that records every write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text: str) -> None:
+        self.writes.append(text)
+
+
+CSV_HEAD = "s,t,u,v,norm_sq\n"
+ROWS = {  # each form's row of one element, rendered on its own, and separator
+    "text": (lambda e, q: f"{e.s},{e.t},{e.u},{e.v}  norm_sq={q}\n", ""),
+    "csv": (lambda e, q: f"{e.s},{e.t},{e.u},{e.v},{q}\n", ""),
+    "json": (lambda e, q: json.dumps({"element": list(e), "norm_sq": q},
+                                     separators=(",", ":")), ","),
+}
+
+
 def test_shell_writers_match_per_row_rendering():
-    # the one-format-per-shell writers give the bytes of a row-by-row
-    # rendering, down to the empty set at bound 0
+    # write gives the bytes of a row-by-row rendering, down to the empty
+    # set at bound 0, and hands the stream one shell at a time: no write is
+    # longer than the largest shell's text (with its separator) plus a head
     for mu in (1, -1):
         for bound in (0, 2, 38):
             for include_zero in (False, True):
                 found = enumerate_short_vectors(mu, bound, include_zero)
                 pairs = found.elements
-                assert found.to_json() == json.dumps(
-                    [{"element": list(e), "norm_sq": q} for e, q in pairs],
-                    separators=(",", ":"))
-                assert found.to_text() == "".join(
-                    f"{e.s},{e.t},{e.u},{e.v}  norm_sq={q}\n" for e, q in pairs
-                ) + f"total: {len(pairs)}\n"
-    assert enumerate_short_vectors(1, 0).to_json() == "[]"
+                for fmt, (row, sep) in ROWS.items():
+                    rows, shells = [], {}
+                    for e, q in pairs:
+                        rows.append(row(e, q))
+                        shells.setdefault(q, []).append(rows[-1])
+                    want = {"text": "".join(rows) + f"total: {len(pairs)}\n",
+                            "csv": CSV_HEAD + "".join(rows),
+                            "json": "[" + ",".join(rows) + "]\n"}[fmt]
+                    sink = _Sink()
+                    found.write(sink, fmt)
+                    assert "".join(sink.writes) == want, (mu, bound, include_zero, fmt)
+                    largest = max((len(sep) + len(sep.join(r)) for r in shells.values()),
+                                  default=0)
+                    assert max(map(len, sink.writes)) <= largest + len(CSV_HEAD)
 
 
 def test_enumeration_leaves_no_cyclic_garbage():
@@ -257,7 +291,7 @@ def test_enumeration_leaves_no_cyclic_garbage():
     try:
         for mu in (1, -1):
             enumerate_short_vectors(mu, 200)
-            enumerate_short_vectors(mu, 20, include_zero=True).to_csv()
+            enumerate_short_vectors(mu, 20, include_zero=True).write(io.StringIO(), "csv")
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -345,13 +379,15 @@ def test_line_scan_oracle_matches_box_scan(mu):
     # leaves bounds up to 59
     for box in range(1, 9):
         edge_min, shells = _box_scan(mu, box)
+        # each shell sorted by (s, t, u, v) here, whatever the scan order
+        ordered = [(n, tuple(x for c in sorted(zip(*[iter(coords)] * 4)) for x in c))
+                   for n, coords in sorted(shells.items())]
         for bound in range(61):
             if edge_min <= bound:
                 with pytest.raises(BoxTooSmallError):
                     enumerate_bruteforce_oracle(mu, bound, box)
                 continue
-            want = normform._shell_set(mu, bound, {n: list(c) for n, c in shells.items()
-                                                   if n <= bound})
+            want = ShortVectorSet(mu, bound, tuple(sh for sh in ordered if sh[0] <= bound))
             assert enumerate_bruteforce_oracle(mu, bound, box) == want, (box, bound)
 
 
@@ -364,9 +400,9 @@ def test_bruteforce_box_guard():
 
 def test_short_vector_serialization():
     found = enumerate_short_vectors(1, 2)
-    csv_text = found.to_csv()
+    csv_text = _written(found, "csv")
     assert csv_text.splitlines()[0] == "s,t,u,v,norm_sq"
     assert csv_text.splitlines()[1:] == ["-1,0,0,0,2", "1,0,0,0,2"]
-    obj = json.loads(found.to_json())
+    obj = json.loads(_written(found, "json"))
     assert obj == [{"element": [-1, 0, 0, 0], "norm_sq": 2},
                    {"element": [1, 0, 0, 0], "norm_sq": 2}]

@@ -40,7 +40,7 @@ def test_fixture_sizes_and_consistency():
 
 def test_reproduce_matches_fixture_reference_tables():
     for mu in (1, -1):
-        assert check_tnaf_existence_table(mu, 1).ok
+        assert check_tnaf_existence_table(mu, 1).passed
 
 
 def test_reproduce_matches_fixture_all_digit_sets():
@@ -74,11 +74,13 @@ def test_compare_tables_reports_corrupted_row(tmp_path, monkeypatch):
     lines[18] = ",".join((s, t, u, v, str(int(norm) + 1), digits, length))
     (tmp_path / _P1_J01).write_text("\n".join(lines) + "\n")
     monkeypatch.setenv("TAU_FIXTURES_DIR", str(tmp_path))
-    diff = check_tnaf_existence_table(1, 1)
-    assert not diff.ok
-    assert diff.missing == (f"{_P1_J01} line 19: {lines[18]}",)
-    assert diff.extra == (victim,)
-    assert victim in diff.describe()
+    result = check_tnaf_existence_table(1, 1)
+    assert not result.passed
+    assert result.detail.splitlines() == [
+        "tnaf-existence-D1-mu=+1: MISMATCH (1 missing, 1 extra)",
+        f"  missing: {_P1_J01} line 19: {lines[18]}",
+        f"  extra: {victim}"]
+    assert victim in result.describe()
 
 
 def test_gls_existence_reproduction():
@@ -148,10 +150,12 @@ def test_fixture_dir_override(tmp_path, monkeypatch):
     # row order is presentation only
     (tmp_path / _P1_J01).write_text("\n".join(lines[:1] + lines[:0:-1]) + "\n")
     monkeypatch.setenv("TAU_FIXTURES_DIR", str(tmp_path))
-    assert check_tnaf_existence_table(1, 1).ok
+    result = check_tnaf_existence_table(1, 1)
+    assert result.passed and result.detail == "tnaf-existence-D1-mu=+1: OK"
     (tmp_path / _P1_J01).write_text(lines[0] + "\n")
-    diff = check_tnaf_existence_table(1, 1)
-    assert diff.missing == () and len(diff.extra) == 94
+    detail = check_tnaf_existence_table(1, 1).detail.splitlines()
+    assert detail[0] == "tnaf-existence-D1-mu=+1: MISMATCH (0 missing, 94 extra)"
+    assert len(detail) == 1 + 94 and all(d.startswith("  extra: ") for d in detail[1:])
 
 
 # A header other than the columns is a fixture error (exit 3); a data line
